@@ -10,7 +10,7 @@ from pathlib import Path
 from . import harness
 from .config import AgentConfig, ConfigError
 from .events import Timestamp
-from .etd.detector import score_event, train_model
+from .etd.detector import score_batch, train_model
 from .etd.features import load_feature_csv, save_feature_csv
 from .phishing import Blacklist, UrlEvaluator
 from .retraining import (
@@ -125,7 +125,7 @@ def cmd_validate(args) -> int:
     }
     if args.data:
         rows = load_feature_csv(args.data)
-        flagged = sum(1 for row in rows if score_event(artifact, row).is_anomalous)
+        flagged = sum(1 for result in score_batch(artifact, rows) if result.is_anomalous)
         result["rows"] = len(rows)
         result["flag_rate"] = flagged / len(rows) if rows else None
     _emit(result)

@@ -2,7 +2,7 @@
 
 Feature extraction from auth records, a Gaussian baseline scored by
 Mahalanobis distance, an isolation forest, threshold calibration, and
-streaming detection against a versioned model artifact.
+batch detection against a versioned model artifact.
 """
 
 from .features import FeatureRow, MANDATORY_FEATURES, StreamingFeatureExtractor, extract_features
@@ -16,7 +16,9 @@ from .gaussian import (
     mahalanobis_score,
 )
 from .iforest import IsolationForestModel, avg_path_length, build_iforest, iforest_score
-from .detector import ModelArtifact, ScoringError, detect_stream, score_event, train_model
+from .detector import (
+    ModelArtifact, ScoringError, detect_batch, score_batch, score_event, train_model,
+)
 
 __all__ = [
     "FeatureRow", "MANDATORY_FEATURES", "StreamingFeatureExtractor", "extract_features",
@@ -24,5 +26,5 @@ __all__ = [
     "GaussianModel", "NormalizationStats", "TrainingError",
     "calibrate_tau", "fit_gaussian", "mahalanobis_score",
     "IsolationForestModel", "avg_path_length", "build_iforest", "iforest_score",
-    "ModelArtifact", "ScoringError", "detect_stream", "score_event", "train_model",
+    "ModelArtifact", "ScoringError", "detect_batch", "score_batch", "score_event", "train_model",
 ]

@@ -1,9 +1,10 @@
-"""The versioned anomaly model artifact and streaming detection.
+"""The versioned anomaly model artifact and batch detection.
 
 An artifact bundles normalization stats, the Gaussian baseline, the
 isolation forest and the calibrated threshold tau.  A row is anomalous
 when the Mahalanobis score exceeds tau or the forest score exceeds its
-own threshold; mahalanobis wins ties when naming the trigger.
+own threshold; mahalanobis wins ties when naming the trigger.  Rows are
+scored in batches; a single row is a batch of one.
 """
 
 from __future__ import annotations
@@ -11,20 +12,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..events import EmergentThreat, IpAddress, Timestamp, numeric_to_ip
-from .features import FeatureRow, MANDATORY_FEATURES
+from ..events import EmergentThreat, IpAddress, Timestamp
+from .features import FeatureRow
 from .gaussian import (
     GaussianModel,
     NormalizationStats,
     TrainingError,
     fit_gaussian,
-    mahalanobis_score,
+    mahalanobis_scores,
 )
-from .iforest import IsolationForestModel, build_iforest, iforest_score
+from .iforest import IsolationForestModel, build_iforest, iforest_scores
 
 DEFAULT_IFOREST_THRESHOLD = 0.7
 
@@ -153,59 +154,62 @@ def train_model(
     return artifact
 
 
-def _normalized_vector(artifact: ModelArtifact, row: FeatureRow) -> np.ndarray:
-    try:
-        raw = row.to_vector(artifact.feature_names)
-    except KeyError as exc:
-        raise ScoringError(f"feature row missing {exc}") from exc
-    return artifact.stats.normalize(np.array(raw, dtype=float))[0]
-
-
-def score_event(artifact: ModelArtifact, row: FeatureRow) -> ScoreResult:
-    """Score one feature row against the artifact.
+def score_batch(artifact: ModelArtifact, rows: Sequence[FeatureRow]) -> List[ScoreResult]:
+    """Score feature rows against the artifact in one pass.
 
     Both thresholds are strict: a score exactly at the threshold is not
     anomalous.
     """
-    z = _normalized_vector(artifact, row)
-    s_mahal = mahalanobis_score(artifact.gaussian, z)
-    s_forest = iforest_score(artifact.iforest, z)
-    mahal_hit = s_mahal > artifact.gaussian.tau
-    forest_hit = s_forest > artifact.iforest_threshold
-    detector = None
-    if mahal_hit:
-        detector = "mahalanobis"
-    elif forest_hit:
-        detector = "isolation_forest"
-    return ScoreResult(
-        mahalanobis=s_mahal,
-        iforest=s_forest,
-        is_anomalous=mahal_hit or forest_hit,
-        detector=detector,
-    )
+    if not rows:
+        return []
+    try:
+        X = np.array([row.to_vector(artifact.feature_names) for row in rows], dtype=float)
+    except KeyError as exc:
+        raise ScoringError(f"feature row missing {exc}") from exc
+    Z = artifact.stats.normalize(X)
+    mahal = mahalanobis_scores(artifact.gaussian, Z).tolist()
+    forest = iforest_scores(artifact.iforest, Z).tolist()
+    tau, forest_threshold = artifact.gaussian.tau, artifact.iforest_threshold
+    results = []
+    for s_mahal, s_forest in zip(mahal, forest):
+        detector = None
+        if s_mahal > tau:
+            detector = "mahalanobis"
+        elif s_forest > forest_threshold:
+            detector = "isolation_forest"
+        results.append(ScoreResult(mahalanobis=s_mahal, iforest=s_forest,
+                                   is_anomalous=detector is not None, detector=detector))
+    return results
 
 
-def detect_stream(
+def score_event(artifact: ModelArtifact, row: FeatureRow) -> ScoreResult:
+    """Score one feature row: a batch of one."""
+    return score_batch(artifact, [row])[0]
+
+
+def detect_batch(
     artifact: ModelArtifact,
-    rows: Iterable[FeatureRow],
-    timestamps: Optional[Iterable[Timestamp]] = None,
-) -> Iterator[EmergentThreat]:
-    """Yield one EmergentThreat event per anomalous row.
+    rows: Sequence[FeatureRow],
+    timestamps: Optional[Sequence[Timestamp]] = None,
+) -> List[EmergentThreat]:
+    """Score ``rows`` as one batch; one EmergentThreat per anomalous row.
 
     ``timestamps`` pairs rows with their wall-clock times; without it
     events are stamped at scoring time.
     """
-    ts_iter = iter(timestamps) if timestamps is not None else None
-    for row in rows:
-        ts = next(ts_iter) if ts_iter is not None else Timestamp.now()
-        result = score_event(artifact, row)
-        if not result.is_anomalous:
-            continue
-        yield EmergentThreat(
+    if timestamps is None:
+        timestamps = [Timestamp.now()] * len(rows)
+    elif len(timestamps) != len(rows):
+        raise ValueError(f"{len(timestamps)} timestamps for {len(rows)} rows")
+    return [
+        EmergentThreat(
             timestamp=ts,
-            ip=numeric_to_ip(int(row.ip_numeric)),
+            ip=IpAddress.from_numeric(int(row.ip_numeric)),
             anomaly_score=result.anomaly_score,
             features=row.as_dict(),
             detector=result.detector,
             model_version=artifact.version,
         )
+        for ts, row, result in zip(timestamps, rows, score_batch(artifact, rows))
+        if result.is_anomalous
+    ]

@@ -53,12 +53,12 @@ class GaussianModel:
 
 
 def mahalanobis_score(model: GaussianModel, x: np.ndarray) -> float:
-    """Quadratic-form distance of a normalized row from the baseline mean."""
+    """Quadratic-form distance of a normalized row from the baseline mean:
+    a batch of one."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"expected dimension {model.dim}, got shape {x.shape}")
-    diff = x - model.mean
-    return float(diff @ model.cov_inv @ diff)
+    return float(mahalanobis_scores(model, x[None, :])[0])
 
 
 def mahalanobis_scores(model: GaussianModel, X: np.ndarray) -> np.ndarray:

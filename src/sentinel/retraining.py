@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .events import Timestamp
-from .etd.detector import ModelArtifact, content_hash, score_event, train_model
+from .etd.detector import ModelArtifact, content_hash, score_batch, train_model
 from .etd.features import FeatureRow
 from .etd.gaussian import TrainingError
 
@@ -96,7 +96,7 @@ def retrain(rows: Sequence[TimedRow], cfg: RetrainConfig,
         training_window_days=cfg.window_days,
         trained_at=trained_at,
     )
-    flagged = sum(1 for row in holdout_rows if score_event(artifact, row).is_anomalous)
+    flagged = sum(1 for result in score_batch(artifact, holdout_rows) if result.is_anomalous)
     rate = flagged / len(holdout_rows)
     accepted = rate <= cfg.max_holdout_flag_rate
     report = ValidationReport(

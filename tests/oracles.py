@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the
 production code paths.  These deliberately use the most direct method
-available (full recounts, explicit elimination, naive recursion) and
-share no code with the package."""
+available (full recounts, explicit elimination, naive recursion, per-node
+tree walks) and share no code with the package."""
 
 from functools import lru_cache
 
@@ -100,3 +100,50 @@ def gauss_jordan_inverse(A):
             if row != col:
                 aug[row] -= aug[row, col] * aug[col]
     return aug[:, n:]
+
+
+def _bst_unsuccessful_search(n):
+    """c(n): mean unsuccessful-search path length of a BST on n keys."""
+    if n <= 1:
+        return 0.0
+    if n == 2:
+        return 1.0
+    harmonic = sum(1.0 / k for k in range(1, n))
+    return 2.0 * harmonic - 2.0 * (n - 1) / n
+
+
+def artifact_score_oracle(payload, values):
+    """Score one raw feature mapping against a stored artifact payload.
+
+    Standardizes with the stored stats, sums the quadratic form term by
+    term, and walks each nested ``{"f","v","l","r"}`` / ``{"n"}`` tree
+    node by node.  Returns (mahalanobis, iforest, is_anomalous, detector)
+    with the strict thresholds and the Mahalanobis-first trigger.
+    """
+    stats = payload["stats"]
+    z = [(float(values[name]) - mean) / std
+         for name, mean, std in zip(stats["feature_names"], stats["mean"], stats["std"])]
+    gaussian = payload["gaussian"]
+    d, inv = gaussian["dim"], gaussian["cov_inv"]
+    mahal = 0.0
+    for i in range(d):
+        for j in range(d):
+            mahal += z[i] * inv[i * d + j] * z[j]
+
+    forest = payload["iforest"]
+    total = 0.0
+    for node in forest["trees"]:
+        depth = 0
+        while "n" not in node:
+            node = node["l"] if z[node["f"]] < node["v"] else node["r"]
+            depth += 1
+        total += depth + _bst_unsuccessful_search(node["n"])
+    mean_path = total / len(forest["trees"])
+    iforest = 2.0 ** (-mean_path / _bst_unsuccessful_search(forest["subsample"]))
+
+    detector = None
+    if mahal > gaussian["tau"]:
+        detector = "mahalanobis"
+    elif iforest > payload["iforest_threshold"]:
+        detector = "isolation_forest"
+    return mahal, iforest, detector is not None, detector

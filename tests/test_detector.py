@@ -1,16 +1,30 @@
+import dataclasses
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import artifact_score_oracle
 from sentinel.etd.detector import (
     ModelArtifact,
     ScoringError,
-    detect_stream,
+    detect_batch,
+    score_batch,
     score_event,
     train_model,
 )
 from sentinel.etd.features import FeatureRow
 from sentinel.events import Timestamp, parse_timestamp
 from sentinel.harness import Scenario, gen_etd_stream, gen_normal_rows
+from sentinel.retraining import load_artifact
+
+STORED_ARTIFACT = Path(__file__).parent / "data" / "etd_model_nested.json"
+FAR_OFF = FeatureRow(hour=23, ip_numeric=4.0e9, status=0, failed_attempts=50,
+                     freq=40, geo_distance=9000)
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +45,22 @@ class TestScoreEvent:
         assert not result.is_anomalous
 
     def test_strict_threshold_boundary(self, artifact):
-        # a score exactly at tau must not flag; check the comparison directly
-        tau = artifact.gaussian.tau
-        assert not (tau > tau)
+        # a score exactly at tau or at the forest threshold must not flag
+        hit = score_event(artifact, FAR_OFF)
+
+        def with_thresholds(tau, forest):
+            gaussian = dataclasses.replace(artifact.gaussian, tau=tau)
+            return dataclasses.replace(artifact, gaussian=gaussian, iforest_threshold=forest)
+
+        at_both = score_event(with_thresholds(hit.mahalanobis, hit.iforest), FAR_OFF)
+        assert (at_both.is_anomalous, at_both.detector) == (False, None)
+        below_tau = with_thresholds(np.nextafter(hit.mahalanobis, -np.inf), hit.iforest)
+        assert score_event(below_tau, FAR_OFF).detector == "mahalanobis"
+        below_forest = with_thresholds(hit.mahalanobis, np.nextafter(hit.iforest, -np.inf))
+        assert score_event(below_forest, FAR_OFF).detector == "isolation_forest"
 
     def test_far_off_row_is_anomalous(self, artifact):
-        row = FeatureRow(hour=23, ip_numeric=4.0e9, status=0, failed_attempts=50,
-                         freq=40, geo_distance=9000)
-        result = score_event(artifact, row)
+        result = score_event(artifact, FAR_OFF)
         assert result.is_anomalous
         assert result.detector == "mahalanobis"  # mahalanobis wins ties
 
@@ -53,7 +75,7 @@ class TestScoreEvent:
 class TestDetectStream:
     def test_all_normal_stream_empty(self, artifact):
         rows, _ = gen_etd_stream(Scenario(seed=3, n_rows=300, anomaly_rate=0.0))
-        events = list(detect_stream(artifact, rows))
+        events = detect_batch(artifact, rows)
         # calibrated ~1% false positives at most on in-distribution data
         assert len(events) <= 10
 
@@ -69,7 +91,7 @@ class TestDetectStream:
         rows, labels = gen_etd_stream(Scenario(seed=4, n_rows=500, anomaly_rate=0.05))
         stamps = [parse_timestamp("2025-02-02T00:00:00Z").add_seconds(i)
                   for i in range(len(rows))]
-        events = list(detect_stream(artifact, rows, timestamps=stamps))
+        events = detect_batch(artifact, rows, timestamps=stamps)
         assert events
         for event in events:
             assert event.model_version == artifact.version
@@ -97,3 +119,97 @@ class TestArtifactPayload:
         c = train_model(rows, seed=1, trained_at=t)
         assert a.version == b.version
         assert a.version != c.version
+
+
+def _same(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return math.isclose(a, b, rel_tol=1e-12)
+
+
+def _assert_matches_oracle(artifact, rows):
+    payload = artifact.to_payload()
+    batch = score_batch(artifact, rows)
+    assert len(batch) == len(rows)
+    for row, got in zip(rows, batch):
+        mahal, forest, flagged, detector = artifact_score_oracle(payload, row.as_dict())
+        single = score_event(artifact, row)
+        for result in (got, single):
+            assert _same(result.mahalanobis, mahal), (row, result, mahal)
+            assert _same(result.iforest, forest), (row, result, forest)
+            assert (result.is_anomalous, result.detector) == (flagged, detector), row
+
+
+def _mixed_rows(n, seed):
+    """Training-like rows with 10% shifted far enough to flag."""
+    rows, _ = gen_etd_stream(Scenario(seed=seed, n_rows=n, anomaly_rate=0.1))
+    return rows
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_feature_rows = st.builds(
+    FeatureRow,
+    hour=st.floats(min_value=0, max_value=23),
+    ip_numeric=st.floats(min_value=0, max_value=2**32 - 1),
+    status=st.sampled_from([0.0, 1.0]),
+    failed_attempts=_finite,
+    freq=_finite,
+    geo_distance=_finite,
+)
+
+
+class TestScoreBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(_feature_rows, min_size=1, max_size=30))
+    def test_matches_oracle_and_single_rows(self, artifact, rows):
+        _assert_matches_oracle(artifact, rows)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_batch_sizes_match_oracle(self, artifact, n):
+        rows = _mixed_rows(n, seed=n)
+        _assert_matches_oracle(artifact, rows)
+        if n > 1:
+            assert any(r.is_anomalous for r in score_batch(artifact, rows))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e12, -1e12, 1e100])
+    def test_extreme_and_non_finite_values(self, artifact, value):
+        base = _mixed_rows(1, seed=0)[0]
+        rows = [dataclasses.replace(base, **{name: value})
+                for name in artifact.feature_names]
+        _assert_matches_oracle(artifact, rows)
+
+    def test_empty_batch(self, artifact):
+        assert score_batch(artifact, []) == []
+
+    def test_missing_feature_anywhere_in_batch(self):
+        rows = [FeatureRow(h, 2, 3, 4, 5, 6, url_risk=float(h % 7)) for h in range(30)]
+        artifact = train_model(rows)
+        with pytest.raises(ScoringError):
+            score_batch(artifact, rows[:5] + [FeatureRow(1, 2, 3, 4, 5, 6)])
+
+
+class TestStoredArtifact:
+    """``data/etd_model_nested.json`` was written by the node-object forest
+    that the flat node table replaced, as ``json.dumps(a.to_payload())`` of
+
+        train_model(gen_normal_rows(64, seed=1), tree_count=3, seed=0,
+                    trained_at=parse_timestamp("2025-02-01T00:00:00Z"))
+    """
+
+    def test_loads_verifies_and_round_trips_byte_for_byte(self):
+        artifact = load_artifact(STORED_ARTIFACT)  # checks the content hash
+        assert json.dumps(artifact.to_payload()) == STORED_ARTIFACT.read_text()
+
+    def test_scores_match_oracle(self):
+        artifact = load_artifact(STORED_ARTIFACT)
+        payload = json.loads(STORED_ARTIFACT.read_text())
+        assert artifact.to_payload() == payload
+        _assert_matches_oracle(artifact, _mixed_rows(300, seed=2))
+
+    def test_fixed_seed_training_reproduces_it(self):
+        # Same RNG call order, same trees, same content hash.
+        artifact = train_model(gen_normal_rows(64, seed=1), tree_count=3, seed=0,
+                               trained_at=parse_timestamp("2025-02-01T00:00:00Z"))
+        assert artifact.version == json.loads(STORED_ARTIFACT.read_text())["version"]

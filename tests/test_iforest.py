@@ -54,11 +54,14 @@ class TestBuild:
         cap = int(np.ceil(np.log2(256)))
 
         def max_depth(node, depth=0):
-            if node.feature is None:
+            left, right = model.children[node]
+            if left == node:
                 return depth
-            return max(max_depth(node.left, depth + 1), max_depth(node.right, depth + 1))
+            return max(max_depth(left, depth + 1), max_depth(right, depth + 1))
 
-        assert all(max_depth(t) <= cap for t in model.trees)
+        depths = [max_depth(root) for root in model.roots]
+        assert all(d <= cap for d in depths)
+        assert model.depth == max(depths)  # the walk takes exactly this many steps
 
     def test_identical_rows_score_half(self):
         X = np.ones((64, 3))

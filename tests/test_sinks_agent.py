@@ -271,6 +271,29 @@ class TestAgent:
         lines = (tmp_path / "alerts.ndjson").read_text().splitlines()
         assert len(lines) == 50
 
+    def test_row_buffer_keeps_newest_rows_at_cap(self, tmp_path, monkeypatch):
+        from sentinel.agent import Agent
+        from sentinel.etd.features import extract_features
+        from sentinel.harness import Burst, Scenario, gen_ssh_logs
+        from sentinel.ssh_monitor import parse_ssh_line
+
+        monkeypatch.setattr(Agent, "ROW_BUFFER_LIMIT", 300)
+        lines, _ = gen_ssh_logs(Scenario(seed=3, duration_hours=10.0, normal_login_rate=60.0,
+                                         attacker_bursts=(Burst("198.51.100.9", 600.0, 12),)))
+        records = [parse_ssh_line(line, year=2025) for line in lines]
+        assert len(records) > 2 * 300
+        cfg = _agent_config(tmp_path)
+        cfg.retrain.max_holdout_flag_rate = 1.0
+        agent = Agent(cfg)
+        for start in range(0, len(records), 97):
+            agent._score_records(records[start:start + 97])
+
+        rows = extract_features(records, freq_window_secs=cfg.etd.freq_window_secs)
+        newest = list(zip((rec.timestamp for rec in records), rows))[-300:]
+        assert list(agent._timed_rows) == newest
+        assert agent.retrain_now(records[-1].timestamp)
+        assert agent.registry.get().trained_at == records[-1].timestamp
+
     def test_url_feed_flags_phishing(self, tmp_path):
         from sentinel.agent import Agent
 
