@@ -22,7 +22,7 @@ from .etd.detector import detect_batch
 from .etd.features import StreamingFeatureExtractor
 from .etd.geo import GeoTable
 from .mitigation import mitigate
-from .phishing import Blacklist, UrlEvaluator
+from .phishing import Blacklist, InvalidUrlError, UrlEvaluator
 from .etd.gaussian import TrainingError
 from .retraining import (
     ModelRegistry,
@@ -101,9 +101,6 @@ class Agent:
             weights=cfg.phishing.weights,
             brands=cfg.phishing.brands,
             keywords=cfg.phishing.keywords,
-            cache_enabled=cfg.phishing.cache_enabled,
-            cache_size=cfg.phishing.cache_size,
-            cache_ttl_secs=cfg.phishing.cache_ttl_secs,
         )
 
         geo = None
@@ -207,11 +204,14 @@ class Agent:
                 try:
                     url = json.loads(line)["url"]
                 except (json.JSONDecodeError, KeyError, TypeError):
-                    log.warning("malformed url feed line: %s", line)
+                    url = None
+                if not isinstance(url, str):
+                    self.dead_letter.record(json.dumps(line), "malformed url feed line")
                     continue
                 try:
                     _, event = self.url_evaluator.evaluate(url, now=self.clock())
-                except ValueError:
+                except InvalidUrlError as exc:
+                    self.dead_letter.record(json.dumps(line), str(exc))
                     continue
                 if event is not None:
                     self.emit(event)

@@ -73,9 +73,6 @@ class PhishingConfig:
     weights: HeuristicWeights = field(default_factory=HeuristicWeights)
     brands: List[str] = field(default_factory=lambda: list(DEFAULT_BRANDS))
     keywords: List[str] = field(default_factory=lambda: list(DEFAULT_KEYWORDS))
-    cache_enabled: bool = False
-    cache_size: int = 10000
-    cache_ttl_secs: float = 300.0
 
 
 @dataclass
@@ -131,9 +128,6 @@ class AgentConfig:
             weights=weights,
             brands=_get_list(values, "phish.brands", DEFAULT_BRANDS),
             keywords=_get_list(values, "phish.keywords", DEFAULT_KEYWORDS),
-            cache_enabled=_get_bool(values, "phish.cache.enabled", False),
-            cache_size=_get_int(values, "phish.cache.size", 10000),
-            cache_ttl_secs=_get_float(values, "phish.cache.ttl_secs", 300),
         )
 
         centroid_raw = _get_list(values, "etd.centroid", ["0", "0"])

@@ -8,9 +8,7 @@ a blacklist hit pins the score at 100.
 from __future__ import annotations
 
 import re
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 from urllib.parse import urlsplit
 
@@ -20,6 +18,7 @@ DEFAULT_BRANDS = ["google.com", "microsoft.com", "apple.com", "paypal.com"]
 DEFAULT_KEYWORDS = ["login", "verify", "update"]
 
 _PCT_RE = re.compile(r"%[0-9A-Fa-f]{2}")
+_HOST_RE = re.compile(r"[a-z0-9._\-]+")
 
 
 class InvalidUrlError(ValueError):
@@ -60,7 +59,7 @@ class PhishVerdict:
 
 
 class Blacklist:
-    """Set of known-bad registered domains; lookup is case-insensitive."""
+    """Set of known-bad domains; lookup is case-insensitive."""
 
     def __init__(self, domains: Iterable[str] = ()):
         self._domains: Set[str] = {d.strip().lower() for d in domains if d.strip()}
@@ -87,11 +86,17 @@ def parse_url(text: str) -> UrlParts:
     if not text or not text.strip():
         raise InvalidUrlError("empty URL")
     text = text.strip()
-    split = urlsplit(text)
-    host = (split.hostname or "").lower()
+    try:
+        split = urlsplit(text)
+        host = (split.hostname or "").lower()
+    except ValueError as exc:  # e.g. an unclosed IPv6 bracket
+        raise InvalidUrlError(f"unparseable URL ({exc}): {text!r}")
+    # The fully qualified form names the same host: "evil.example." is "evil.example".
+    if host.endswith("."):
+        host = host[:-1]
     if not host:
         raise InvalidUrlError(f"no host in URL: {text!r}")
-    if not re.fullmatch(r"[a-z0-9._\-]+", host):
+    if not _HOST_RE.fullmatch(host):
         raise InvalidUrlError(f"invalid host in URL: {text!r}")
     scheme = split.scheme.lower()
     if scheme not in ("http", "https"):
@@ -115,29 +120,65 @@ def parse_url(text: str) -> UrlParts:
     )
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Minimal edit distance with unit insert/delete/substitute costs."""
+def levenshtein(a: str, b: str, limit: int) -> int:
+    """Edit distance with unit insert/delete/substitute costs when it is at
+    most `limit`, else `limit + 1`.
+
+    Ukkonen's banded DP (Inf. & Control 1985): after the common prefix and
+    suffix are stripped, only cells within `limit` of the diagonal are
+    filled, and the scan stops once a whole row exceeds `limit`.  A
+    `limit` of at least max(len(a), len(b)) gives the exact distance.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(
-                prev[j] + 1,          # delete
-                cur[j - 1] + 1,       # insert
-                prev[j - 1] + (ca != cb),  # substitute
-            ))
+    over = limit + 1
+    if len(a) > len(b):
+        a, b = b, a
+    if len(b) - len(a) > limit:
+        return over
+    start, end = 0, len(a)
+    while start < end and a[start] == b[start]:
+        start += 1
+    gap = len(b) - end
+    while end > start and a[end - 1] == b[end - 1 + gap]:
+        end -= 1
+    a, b = a[start:end], b[start:end + gap]
+    la, lb = len(a), len(b)
+    if not la:
+        return lb  # the gap, already known to be at most `limit`
+    prev = [j if j <= limit else over for j in range(lb + 1)]
+    for i in range(1, la + 1):
+        ca = a[i - 1]
+        lo = i - limit if i > limit else 1
+        hi = i + limit if i + limit < lb else lb
+        cur = [over] * (lb + 1)
+        if lo == 1:
+            cur[0] = i
+        left = best = cur[lo - 1]
+        for j in range(lo, hi + 1):
+            cost = prev[j - 1] + (ca != b[j - 1])  # substitute or match
+            if prev[j] + 1 < cost:  # delete
+                cost = prev[j] + 1
+            if left + 1 < cost:  # insert
+                cost = left + 1
+            cur[j] = left = cost
+            if cost < best:
+                best = cost
+        if best > limit:
+            return over
         prev = cur
-    return prev[-1]
+    return min(prev[lb], over)
 
 
 def check_blacklist(parts: UrlParts, blacklist: Blacklist) -> bool:
-    return parts.registered_domain in blacklist
+    """True when the host or one of its parent domains, down to the
+    registered domain, is listed."""
+    name = parts.host
+    for _ in range(parts.subdomain_depth):
+        if name in blacklist:
+            return True
+        name = name[name.index(".") + 1:]
+    return name in blacklist
 
 
 def heuristic_score(
@@ -146,7 +187,8 @@ def heuristic_score(
     brands: Optional[Sequence[str]] = None,
     keywords: Optional[Sequence[str]] = None,
 ) -> Tuple[int, List[str]]:
-    """Score a URL by its lexical indicators.
+    """Score a URL by its lexical indicators; `brands` and `keywords`
+    are lower case.
 
     Returns (score, names of triggered heuristics); score is capped
     at 100.
@@ -157,23 +199,24 @@ def heuristic_score(
     score = 0
     triggered: List[str] = []
 
+    registered = parts.registered_domain
     for brand in brands:
-        brand = brand.lower()
         # Length gap bounds the edit distance from below; skip the DP.
-        if abs(len(parts.registered_domain) - len(brand)) > 2:
+        if abs(len(registered) - len(brand)) > 2:
             continue
-        if 1 <= levenshtein(parts.registered_domain, brand) <= 2:
+        if 1 <= levenshtein(registered, brand, 2) <= 2:
             score += w.brand_similarity
             triggered.append("brand_similarity")
             break
 
-    host_hits = [kw for kw in keywords if kw.lower() in parts.host]
+    host_hits = [kw for kw in keywords if kw in parts.host]
     if host_hits:
         kw_score = w.first_host_keyword + w.extra_host_keyword * (len(host_hits) - 1)
         score += min(kw_score, w.host_keyword_cap)
         triggered.append("host_keyword")
 
-    if any(kw.lower() in parts.path.lower() for kw in keywords):
+    path = parts.path.lower()
+    if any(kw in path for kw in keywords):
         score += w.path_keyword
         triggered.append("path_keyword")
 
@@ -206,6 +249,7 @@ def evaluate_url(
     now: Optional[Timestamp] = None,
 ) -> Tuple[PhishVerdict, Optional[PhishingAlert]]:
     """Evaluate one URL; returns the verdict and, if flagged, the alert event.
+    `brands` and `keywords` are lower case.
 
     Raises InvalidUrlError when no host can be extracted.
     """
@@ -224,7 +268,7 @@ def evaluate_url(
 
 
 class UrlEvaluator:
-    """Convenience wrapper bundling config, with an optional LRU+TTL cache."""
+    """Convenience wrapper bundling the blacklist and heuristic config."""
 
     def __init__(
         self,
@@ -232,32 +276,12 @@ class UrlEvaluator:
         weights: Optional[HeuristicWeights] = None,
         brands: Optional[Sequence[str]] = None,
         keywords: Optional[Sequence[str]] = None,
-        cache_enabled: bool = False,
-        cache_size: int = 10000,
-        cache_ttl_secs: float = 300.0,
-        clock=time.monotonic,
     ):
         self.blacklist = blacklist or Blacklist()
         self.weights = weights or HeuristicWeights()
-        self.brands = list(DEFAULT_BRANDS if brands is None else brands)
-        self.keywords = list(DEFAULT_KEYWORDS if keywords is None else keywords)
-        self.cache_enabled = cache_enabled
-        self.cache_size = cache_size
-        self.cache_ttl_secs = cache_ttl_secs
-        self._clock = clock
-        self._cache: OrderedDict = OrderedDict()
+        self.brands = [b.lower() for b in (DEFAULT_BRANDS if brands is None else brands)]
+        self.keywords = [k.lower() for k in (DEFAULT_KEYWORDS if keywords is None else keywords)]
 
     def evaluate(self, url: str, now: Optional[Timestamp] = None):
-        if self.cache_enabled:
-            hit = self._cache.get(url)
-            if hit is not None and self._clock() - hit[0] < self.cache_ttl_secs:
-                self._cache.move_to_end(url)
-                return hit[1]
-        result = evaluate_url(url, self.blacklist, self.weights,
-                              self.brands, self.keywords, now=now)
-        if self.cache_enabled:
-            self._cache[url] = (self._clock(), result)
-            self._cache.move_to_end(url)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-        return result
+        return evaluate_url(url, self.blacklist, self.weights,
+                            self.brands, self.keywords, now=now)

@@ -39,41 +39,88 @@ class TestParseUrl:
     def test_host_lowercased(self):
         assert parse_url("http://EXAMPLE.com").host == "example.com"
 
+    def test_one_trailing_dot_stripped(self):
+        parts = parse_url("http://a.evil.example./x")
+        assert parts.host == "a.evil.example"
+        assert parts.registered_domain == "evil.example"
+        assert parts.subdomain_depth == 1
+
+    @pytest.mark.parametrize("url", ["http://./", "http://[::1/", "http://a b.com/"])
+    def test_hostless_or_unparseable(self, url):
+        with pytest.raises(InvalidUrlError):
+            parse_url(url)
+
+
+def exact(a, b):
+    """The bounded distance with a limit no pair can exceed."""
+    return levenshtein(a, b, max(len(a), len(b)))
+
 
 class TestLevenshtein:
     def test_identity(self):
-        assert levenshtein("abc", "abc") == 0
+        assert levenshtein("abc", "abc", 2) == 0
 
     def test_homograph_pair(self):
-        assert levenshtein("google.com", "g00gle.com") == 2
-        assert levenshtein("google.com", "g00gle.com") == \
+        assert levenshtein("google.com", "g00gle.com", 2) == 2
+        assert exact("google.com", "g00gle.com") == \
             levenshtein_recursive("google.com", "g00gle.com")
 
     def test_kitten_sitting(self):
-        assert levenshtein("kitten", "sitting") == 3
+        assert exact("kitten", "sitting") == 3
         assert levenshtein_recursive("kitten", "sitting") == 3
+        assert levenshtein("kitten", "sitting", 2) == 3
+        assert levenshtein("kitten", "sitting", 1) == 2
 
     short = st.text(alphabet="abcde", max_size=8)
 
     @settings(max_examples=200, deadline=None)
     @given(short, short)
     def test_matches_recursive_oracle(self, a, b):
-        assert levenshtein(a, b) == levenshtein_recursive(a, b)
+        assert exact(a, b) == levenshtein_recursive(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(short, short)
     def test_symmetry(self, a, b):
-        assert levenshtein(a, b) == levenshtein(b, a)
+        assert exact(a, b) == exact(b, a)
 
     @settings(max_examples=100, deadline=None)
     @given(short, short, short)
     def test_triangle_inequality(self, a, b, c):
-        assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+        assert exact(a, c) <= exact(a, b) + exact(b, c)
 
     @settings(max_examples=100, deadline=None)
     @given(short, short)
     def test_identity_of_indiscernibles(self, a, b):
-        assert (levenshtein(a, b) == 0) == (a == b)
+        assert (exact(a, b) == 0) == (a == b)
+
+    domainish = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789.", max_size=14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(domainish, domainish, st.integers(min_value=0, max_value=3))
+    def test_bounded_equals_capped_oracle(self, a, b, k):
+        assert levenshtein(a, b, k) == min(levenshtein_recursive(a, b), k + 1)
+
+    @pytest.mark.parametrize("a, b, limit, expected", [
+        ("", "", 0, 0),
+        ("", "", 2, 0),
+        ("", "ab", 2, 2),
+        ("ab", "", 2, 2),
+        ("", "abc", 2, 3),
+        ("", "a", 0, 1),
+        ("apple.com", "apple.cxx", 2, 2),      # shared prefix only
+        ("apple.com", "appl", 2, 3),
+        ("paypal.com", "qaypal.com", 2, 1),    # shared suffix only
+        ("google.com", "oogle.com", 1, 1),
+        ("google.com", "google.com.x", 2, 2),  # length gap exactly the limit
+        ("google.com", "xxgoogle.com", 2, 2),
+        ("google.com", "goxxogle.com", 2, 2),
+        ("google.com", "gxxoogle.co", 2, 3),
+        ("microsoft.com", "micr0s0ft.c0m", 2, 3),
+    ])
+    def test_edge_cases(self, a, b, limit, expected):
+        assert levenshtein(a, b, limit) == expected
+        assert levenshtein(b, a, limit) == expected
+        assert expected == min(levenshtein_recursive(a, b), limit + 1)
 
 
 class TestBlacklist:
@@ -90,6 +137,18 @@ class TestBlacklist:
         # registered-domain oracle: the last two labels
         assert ".".join(parts.host.split(".")[-2:]) == "fake-bank-login.com"
         assert check_blacklist(parts, bl)
+
+    def test_multi_label_entry_matches_host_and_subdomains(self):
+        bl = Blacklist(["login.evil.example"])
+        assert check_blacklist(parse_url("http://login.evil.example/a"), bl)
+        assert check_blacklist(parse_url("http://a.login.evil.example/"), bl)
+        assert not check_blacklist(parse_url("http://evil.example/"), bl)
+        assert not check_blacklist(parse_url("http://xlogin.evil.example/"), bl)
+
+    def test_trailing_dot_host_still_listed(self):
+        bl = Blacklist(["evil.example"])
+        verdict, event = evaluate_url("http://evil.example./a", blacklist=bl)
+        assert verdict.score == 100 and event is not None
 
     def test_load_file_with_comments(self, tmp_path):
         path = tmp_path / "bl.txt"
@@ -124,6 +183,10 @@ class TestHeuristicScore:
         parts = parse_url("http://a.b.c.login-verify-g00gle.com/login?x=%20%3F")
         score, _ = heuristic_score(parts, brands=["login-verify-g0gle.com"])
         assert 0 <= score <= 100
+
+    def test_trailing_dot_lookalike(self):
+        _, triggered = heuristic_score(parse_url("https://paypa1.com."))
+        assert triggered == ["brand_similarity"]
 
     def test_http_never_decreases_score(self):
         for suffix in ["example.com", "a.b.c.d.login-site.com/verify?%20%21"]:
@@ -162,28 +225,16 @@ class TestEvaluateUrl:
             evaluate_url("not a url")
 
 
-class TestEvaluatorCache:
-    def test_cache_hit_returns_same_result(self):
-        clock_value = [0.0]
-        ev = UrlEvaluator(cache_enabled=True, cache_ttl_secs=10,
-                          clock=lambda: clock_value[0])
-        now = parse_timestamp("2025-02-13T09:11:45Z")
-        a = ev.evaluate("http://secure-updates-login.com", now=now)
-        b = ev.evaluate("http://secure-updates-login.com", now=now)
-        assert a is b  # cached object
+class TestUrlEvaluator:
+    def test_each_alert_carries_its_own_now(self):
+        ev = UrlEvaluator()
+        first, second = (parse_timestamp("2025-01-01T00:00:00Z"),
+                         parse_timestamp("2025-06-01T00:00:00Z"))
+        _, a = ev.evaluate("http://secure-updates-login.com", now=first)
+        _, b = ev.evaluate("http://secure-updates-login.com", now=second)
+        assert a.timestamp == first and b.timestamp == second
 
-    def test_cache_expires(self):
-        clock_value = [0.0]
-        ev = UrlEvaluator(cache_enabled=True, cache_ttl_secs=10,
-                          clock=lambda: clock_value[0])
-        now = parse_timestamp("2025-02-13T09:11:45Z")
-        a = ev.evaluate("http://secure-updates-login.com", now=now)
-        clock_value[0] = 11.0
-        b = ev.evaluate("http://secure-updates-login.com", now=now)
-        assert a is not b and a == b
-
-    def test_cache_eviction(self):
-        ev = UrlEvaluator(cache_enabled=True, cache_size=2)
-        for i in range(5):
-            ev.evaluate(f"https://site{i}.com")
-        assert len(ev._cache) == 2
+    def test_brands_and_keywords_any_case(self):
+        ev = UrlEvaluator(brands=["PayPal.com"], keywords=["LOGIN"])
+        verdict, _ = ev.evaluate("https://paypa1.com/Login")
+        assert set(verdict.triggered) == {"brand_similarity", "path_keyword"}

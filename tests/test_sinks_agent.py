@@ -312,6 +312,31 @@ class TestAgent:
         assert events[0]["score"] == 85
 
 
+    def test_url_feed_dead_letters_unusable_lines(self, tmp_path):
+        from sentinel.agent import Agent
+
+        feed = tmp_path / "urls.ndjson"
+        feed.write_text("not json\n"
+                        + json.dumps({"url": "not a url"}) + "\n"
+                        + json.dumps({"url": 5}) + "\n"
+                        + json.dumps({"url": "http://secure-updates-login.com"}) + "\n")
+        cfg = _agent_config(tmp_path)
+        cfg.url_feed = str(feed)
+        agent = Agent(cfg)
+        agent.start()
+        sink = tmp_path / "alerts.ndjson"
+        # The feed is read in order, so the alert arrives after the dead letters.
+        assert _wait_for(lambda: sink.exists() and sink.read_text().strip())
+        agent.stop()
+        dead = [json.loads(l) for l in (tmp_path / "dead.ndjson").read_text().splitlines()]
+        assert [d["event"] for d in dead] == [
+            "not json", json.dumps({"url": "not a url"}), json.dumps({"url": 5})]
+        reasons = [d["reason"] for d in dead]
+        assert reasons[0] == reasons[2] == "malformed url feed line"
+        assert "no host" in reasons[1]
+        assert agent.dead_letter.count == 3
+        assert agent._restart_log == []
+
 class TestConfig:
     def test_flat_file_parse(self):
         values = parse_flat_config("# comment\nssh.threshold = 7\nsink.stdout = true\n")
