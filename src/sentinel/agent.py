@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 
 from .config import AgentConfig
 from .events import SecurityEvent, Timestamp, serialize_event
-from .etd.detector import detect_batch
+from .etd.detector import ScoringError, detect_batch
 from .etd.features import StreamingFeatureExtractor
 from .etd.geo import GeoTable
 from .mitigation import mitigate
@@ -34,7 +34,7 @@ from .retraining import (
     select_window,
 )
 from .sinks import DeadLetterLog, build_sink, dispatch_alert
-from .ssh_monitor import BruteForceDetector, TailSource, parse_ssh_line, ParseStats
+from .ssh_monitor import BruteForceDetector, TailSource, parse_ssh_line
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +87,7 @@ class Agent:
         self.queue: "queue.Queue" = queue.Queue(maxsize=QUEUE_CAPACITY)
         self.dead_letter = DeadLetterLog(cfg.dead_letter_path)
         self.overflow_count = 0
+        self.unscored_slices = 0
         self.sinks = [build_sink(sc) for sc in cfg.sinks]
         self.registry = ModelRegistry()
         self.mitigations: List[dict] = []
@@ -102,6 +103,16 @@ class Agent:
             brands=cfg.phishing.brands,
             keywords=cfg.phishing.keywords,
         )
+
+        # Built once, so that a monitor restarted after a crash resumes where
+        # it stopped; the deques hold lines polled but not yet processed.
+        self.ssh_source = None
+        if cfg.ssh_source_path or cfg.ssh_source_command:
+            self.ssh_source = TailSource(cfg.ssh_source_path, cfg.ssh_source_command)
+        self.brute_force = BruteForceDetector(cfg.ssh)
+        self._ssh_lines: deque = deque()
+        self.url_source = TailSource(path=cfg.url_feed) if cfg.url_feed else None
+        self._url_lines: deque = deque()
 
         geo = None
         if cfg.etd.geo_table_path:
@@ -149,21 +160,16 @@ class Agent:
     # -- monitors ----------------------------------------------------------
 
     def _ssh_loop(self):
-        source = TailSource(
-            path=self.cfg.ssh_source_path,
-            command=self.cfg.ssh_source_command,
-            poll_secs=self.cfg.ssh.poll_secs,
-        ) if (self.cfg.ssh_source_path or self.cfg.ssh_source_command) else None
-        if source is None:
+        if self.ssh_source is None:
             self.stop_event.wait()
             return
-        detector = BruteForceDetector(self.cfg.ssh)
-        stats = ParseStats()
+        lines, detector, year = self._ssh_lines, self.brute_force, self.cfg.ssh_year
         while not self.stop_event.is_set():
+            lines.extend(self.ssh_source.poll())
             pending = []
-            for line in source.poll():
-                rec = parse_ssh_line(line, year=self.cfg.ssh_year, stats=stats,
-                                     fallback_timestamp=self.clock())
+            while lines:
+                rec = parse_ssh_line(lines.popleft(), year=year, stats=detector.stats,
+                                     clock=self.clock)
                 if rec is None:
                     continue
                 event = detector.ingest(rec)
@@ -179,43 +185,54 @@ class Agent:
 
     def _score_records(self, records) -> None:
         """Buffer the records' feature rows for retraining and emit an
-        EmergentThreat for each one the live model flags."""
+        EmergentThreat for each one the live model flags.  A slice the
+        live model cannot score is counted and skipped."""
         rows = [self.feature_extractor.extract(rec) for rec in records]
         stamps = [rec.timestamp for rec in records]
         with self._rows_lock:
             self._timed_rows.extend(zip(stamps, rows))
         try:
-            artifact = self.registry.get()
+            events = detect_batch(self.registry.get(), rows, stamps)
         except NoModelError:
             return
-        for event in detect_batch(artifact, rows, stamps):
+        except ScoringError as exc:
+            self.unscored_slices += 1
+            log.warning("skipping %d records the live model cannot score: %s", len(rows), exc)
+            return
+        for event in events:
             self.emit(event)
 
     def _url_feed_loop(self):
-        if not self.cfg.url_feed:
+        if self.url_source is None:
             self.stop_event.wait()
             return
-        source = TailSource(path=self.cfg.url_feed, poll_secs=0.2)
+        lines = self._url_lines
         while not self.stop_event.is_set():
-            for line in source.poll():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    url = json.loads(line)["url"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    url = None
-                if not isinstance(url, str):
-                    self.dead_letter.record(json.dumps(line), "malformed url feed line")
-                    continue
-                try:
-                    _, event = self.url_evaluator.evaluate(url, now=self.clock())
-                except InvalidUrlError as exc:
-                    self.dead_letter.record(json.dumps(line), str(exc))
-                    continue
-                if event is not None:
-                    self.emit(event)
+            lines.extend(self.url_source.poll())
+            while lines:
+                # A line leaves the queue once checked, so a restart retries it.
+                self._check_url(lines[0])
+                lines.popleft()
             self.stop_event.wait(0.2)
+
+    def _check_url(self, line: str) -> None:
+        line = line.strip()
+        if not line:
+            return
+        try:
+            url = json.loads(line)["url"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            url = None
+        if not isinstance(url, str):
+            self.dead_letter.record(json.dumps(line), "malformed url feed line")
+            return
+        try:
+            _, event = self.url_evaluator.evaluate(url, now=self.clock())
+        except InvalidUrlError as exc:
+            self.dead_letter.record(json.dumps(line), str(exc))
+            return
+        if event is not None:
+            self.emit(event)
 
     def _retrain_loop(self):
         triggers = schedule_retrain(
@@ -289,8 +306,3 @@ class Agent:
             pass
         self.stop()
         return 0
-
-
-def run_agent(cfg: AgentConfig) -> int:
-    agent = Agent(cfg)
-    return agent.run_forever()

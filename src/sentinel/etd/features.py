@@ -78,11 +78,11 @@ class StreamingFeatureExtractor:
         self.geo = geo
         self.freq_window_secs = freq_window_secs
         self.unknown_geo_distance = unknown_geo_distance
-        self._activity: dict = {}  # ip -> deque of epochs
-        self._fail_run: dict = {}  # ip -> consecutive failure count
+        self._activity: dict = {}  # numeric ip -> deque of epochs
+        self._fail_run: dict = {}  # numeric ip -> consecutive failure count
 
     def extract(self, rec: SshAuthRecord) -> FeatureRow:
-        key = str(rec.ip)
+        key = rec.ip.to_numeric()
         now = rec.timestamp.epoch()
         window = self._activity.setdefault(key, deque())
         window.append(now)
@@ -99,13 +99,13 @@ class StreamingFeatureExtractor:
 
         distance = None
         if self.geo is not None:
-            distance = self.geo.distance_km(key)
+            distance = self.geo.distance_km(str(rec.ip))
         if distance is None:
             distance = self.unknown_geo_distance
 
         return FeatureRow(
             hour=float(rec.timestamp.hour()),
-            ip_numeric=float(rec.ip.to_numeric()),
+            ip_numeric=float(key),
             status=0.0 if rec.failed else 1.0,
             failed_attempts=float(run),
             freq=float(len(window)),

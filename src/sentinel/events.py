@@ -87,14 +87,6 @@ class Timestamp:
         return self.isoformat()
 
 
-def hour_of(ts: Timestamp) -> int:
-    return ts.hour()
-
-
-def parse_timestamp(text: str, default_year: Optional[int] = None) -> Timestamp:
-    return Timestamp.parse(text, default_year)
-
-
 @dataclass(frozen=True, order=True)
 class IpAddress:
     """An IPv4 address; canonical form is dot-decimal without leading zeros."""
@@ -135,16 +127,6 @@ class IpAddress:
 
     def __str__(self) -> str:
         return ".".join(str(o) for o in self.octets)
-
-
-def ip_to_numeric(ip: Union[str, IpAddress]) -> int:
-    if isinstance(ip, str):
-        ip = IpAddress.parse(ip)
-    return ip.to_numeric()
-
-
-def numeric_to_ip(value: int) -> IpAddress:
-    return IpAddress.from_numeric(value)
 
 
 class DetectionMethod(str, Enum):

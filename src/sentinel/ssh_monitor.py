@@ -8,12 +8,12 @@ event once the count inside the window reaches the configured threshold.
 from __future__ import annotations
 
 import logging
+import os
 import re
 import subprocess
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 from .events import BruteForce, IpAddress, ParseError, Timestamp
 
@@ -23,15 +23,12 @@ log = logging.getLogger(__name__)
 _PREFIX = r"(?:(?P<ts>[A-Z][a-z]{2}\s+\d{1,2}\s+\d{2}:\d{2}:\d{2})\s+\S+\s+sshd\[\d+\]:\s+)?"
 _IPV4 = r"(?P<ip>\d{1,3}(?:\.\d{1,3}){3})"
 
-_FAILED_RE = re.compile(
+# One pass over the auth grammar; the ``failed`` group gives the status.
+_AUTH_RE = re.compile(
     _PREFIX
-    + r"Failed password for (?P<invalid>invalid user )?(?P<user>\S+) from "
-    + _IPV4
-    + r" port (?P<port>\d+) ssh2\s*$"
-)
-_ACCEPTED_RE = re.compile(
-    _PREFIX
-    + r"Accepted (?:password|publickey) for (?P<user>\S+) from "
+    + r"(?:(?P<failed>Failed) password for (?P<invalid>invalid user )?"
+    + r"|Accepted (?:password|publickey) for )"
+    + r"(?P<user>\S+) from "
     + _IPV4
     + r" port (?P<port>\d+) ssh2\s*$"
 )
@@ -79,6 +76,9 @@ class BruteForceConfig:
             self.cooldown_secs = self.window_secs
         if self.cooldown_secs < 0:
             raise ValueError("cooldown_secs must be >= 0")
+        for entry in self.whitelist:  # ingest() can match only the canonical form
+            if str(IpAddress.parse(entry)) != entry:
+                raise ValueError(f"ssh.whitelist entry {entry!r} is not canonical IPv4")
 
 
 @dataclass
@@ -88,56 +88,68 @@ class ParseStats:
     dropped_out_of_order: int = 0
 
 
+# (stamp text, year, Timestamp) of the last stamped line: sshd writes many
+# lines per second, so most lines repeat it.  The tuple is read and replaced
+# whole, so a thread never sees a torn entry.
+_last_stamp: tuple = ("", None, None)
+
+
 def parse_ssh_line(
     line: str,
     year: Optional[int] = None,
     stats: Optional[ParseStats] = None,
-    fallback_timestamp: Optional[Timestamp] = None,
+    clock: Optional[Callable[[], Timestamp]] = None,
 ) -> Optional[SshAuthRecord]:
     """Parse one log line; returns None for lines outside the auth grammar.
 
     Non-matching lines are never an error.  Lines shaped like auth entries
-    but carrying a non-IPv4 address (IPv6) are skipped with a counted
-    warning.  Lines without a syslog prefix use ``fallback_timestamp``
-    when given, otherwise they are skipped.
+    but carrying a non-IPv4 address (IPv6) are skipped and counted as
+    ``ipv6_skipped``.  Lines without a syslog prefix are stamped ``clock()``
+    when a clock is given, otherwise they are skipped, as is a stamp that
+    names no real date (``Feb 30``).  A stamp is parsed once while it
+    repeats, so with ``year=None`` it keeps the year of its first line.
     """
-    for regex, status in ((_FAILED_RE, "failed"), (_ACCEPTED_RE, "accepted")):
-        m = regex.match(line)
-        if not m:
-            continue
-        if m.group("ts"):
-            ts = Timestamp.parse(m.group("ts"), default_year=year)
-        elif fallback_timestamp is not None:
-            ts = fallback_timestamp
-        else:
-            if stats:
-                stats.skipped += 1
-            return None
-        try:
-            ip = IpAddress.parse(m.group("ip"))
-        except ParseError:
-            if stats:
-                stats.ipv6_skipped += 1
-                stats.skipped += 1
-            return None
-        return SshAuthRecord(
-            timestamp=ts,
-            user=m.group("user"),
-            ip=ip,
-            port=int(m.group("port")),
-            status=status,
-            invalid_user=bool(m.groupdict().get("invalid")),
-            raw=line.rstrip("\n"),
-        )
-    if _AUTH_SHAPE_RE.match(line):
+    global _last_stamp
+    m = _AUTH_RE.match(line)
+    if m is None:
+        if stats:
+            stats.ipv6_skipped += _AUTH_SHAPE_RE.match(line) is not None
+            stats.skipped += 1
+        return None
+    stamp, failed, invalid, user, ip_text, port = m.group(
+        "ts", "failed", "invalid", "user", "ip", "port")
+    if stamp:
+        text, memo_year, ts = _last_stamp
+        if stamp != text or year != memo_year:
+            try:
+                ts = Timestamp.parse(stamp, default_year=year)
+            except ParseError:
+                if stats:
+                    stats.skipped += 1
+                return None
+            _last_stamp = (stamp, year, ts)
+    elif clock is not None:
+        ts = clock()
+    else:
+        if stats:
+            stats.skipped += 1
+        return None
+    try:
+        ip = IpAddress.parse(ip_text)
+    except ParseError:
         if stats:
             stats.ipv6_skipped += 1
             stats.skipped += 1
-        log.debug("skipping non-IPv4 auth line: %s", line.rstrip())
         return None
-    if stats:
-        stats.skipped += 1
-    return None
+    return SshAuthRecord(
+        timestamp=ts,
+        user=user,
+        ip=ip,
+        port=int(port),
+        status="failed" if failed else "accepted",
+        invalid_user=invalid is not None,
+        raw=line.rstrip("\n"),
+    )
 
 
 class BruteForceDetector:
@@ -150,8 +162,8 @@ class BruteForceDetector:
 
     def __init__(self, cfg: BruteForceConfig):
         self.cfg = cfg
-        self._failures: dict = {}  # ip str -> deque of epoch floats
-        self._last_alert: dict = {}  # ip str -> epoch float
+        self._failures: dict = {}  # numeric ip -> deque of epoch floats
+        self._last_alert: dict = {}  # numeric ip -> epoch float
         self._max_seen: Optional[float] = None
         self.stats = ParseStats()
 
@@ -164,7 +176,7 @@ class BruteForceDetector:
             return None
         self._max_seen = max(self._max_seen or now, now)
 
-        key = str(rec.ip)
+        key = rec.ip.to_numeric()
         if rec.failed:
             window = self._failures.setdefault(key, deque())
             window.append(now)
@@ -181,7 +193,7 @@ class BruteForceDetector:
             return None
         if len(window) < self.cfg.threshold:
             return None
-        if key in self.cfg.whitelist:
+        if str(rec.ip) in self.cfg.whitelist:
             return None
         last = self._last_alert.get(key)
         if last is not None and now - last < self.cfg.cooldown_secs:
@@ -201,38 +213,36 @@ def scan_batch(
     """
     cfg = cfg or BruteForceConfig()
     detector = BruteForceDetector(cfg)
-    stats = ParseStats()
     records: List[SshAuthRecord] = []
     events: List[BruteForce] = []
     for line in lines:
-        rec = parse_ssh_line(line, year=year, stats=stats)
+        rec = parse_ssh_line(line, year=year, stats=detector.stats)
         if rec is None:
             continue
         records.append(rec)
         event = detector.ingest(rec)
         if event is not None:
             events.append(event)
-    return records, events, stats.skipped
+    return records, events, detector.stats.skipped
 
 
 class TailSource:
     """Poll a log file (or a shell command's stdout) for new lines.
 
     File sources resume from the stored offset; truncation (rotation)
-    restarts from offset 0.  A missing source degrades health rather than
-    raising; polling retries with backoff.
+    restarts from offset 0.  Lines end only at ``\n``: an unterminated
+    last line is held back until a later poll completes it.  A missing
+    source degrades health rather than raising.
     """
 
-    def __init__(self, path: Optional[str] = None, command: Optional[str] = None,
-                 poll_secs: float = 60.0):
+    def __init__(self, path: Optional[str] = None, command: Optional[str] = None):
         if (path is None) == (command is None):
             raise ValueError("exactly one of path or command is required")
         self.path = path
         self.command = command
-        self.poll_secs = poll_secs
         self.healthy = True
         self._offset = 0
-        self._backoff = poll_secs
+        self._partial = b""  # bytes after the last newline read so far
 
     def poll(self) -> List[str]:
         """One polling pass; returns any new complete lines."""
@@ -242,23 +252,23 @@ class TailSource:
 
     def _poll_file(self) -> List[str]:
         try:
-            with open(self.path, "r", errors="replace") as fh:
-                fh.seek(0, 2)
-                size = fh.tell()
-                if size < self._offset:  # truncated / rotated
+            with open(self.path, "rb") as fh:
+                if os.fstat(fh.fileno()).st_size < self._offset:  # truncated / rotated
                     self._offset = 0
+                    self._partial = b""
                 fh.seek(self._offset)
                 chunk = fh.read()
-                self._offset = fh.tell()
         except OSError as exc:
             if self.healthy:
                 log.warning("log source %s unavailable: %s", self.path, exc)
             self.healthy = False
-            self._backoff = min(self._backoff * 2, 300.0)
             return []
         self.healthy = True
-        self._backoff = self.poll_secs
-        return chunk.splitlines()
+        self._offset += len(chunk)
+        data = self._partial + chunk
+        end = data.rfind(b"\n") + 1
+        self._partial = data[end:]
+        return data[:end].decode("utf-8", errors="replace").split("\n")[:-1]
 
     def _poll_command(self) -> List[str]:
         try:
@@ -274,15 +284,3 @@ class TailSource:
             return []
         self.healthy = True
         return out.stdout.splitlines()
-
-    def follow(self, stop=None) -> Iterator[str]:
-        """Blocking generator yielding lines forever (or until stop() is true)."""
-        while stop is None or not stop():
-            for line in self.poll():
-                yield line
-            time.sleep(self._backoff if not self.healthy else self.poll_secs)
-
-
-def tail_source(path: Optional[str] = None, command: Optional[str] = None,
-                poll_secs: float = 60.0) -> TailSource:
-    return TailSource(path=path, command=command, poll_secs=poll_secs)

@@ -18,7 +18,7 @@ from oracles import gauss_jordan_inverse, window_recount_events
 from sentinel.cli import EXIT_OK, main as cli_main
 from sentinel.etd.detector import score_event, train_model
 from sentinel.etd.gaussian import fit_gaussian, mahalanobis_score, mahalanobis_scores
-from sentinel.events import IpAddress, parse_timestamp
+from sentinel.events import IpAddress, Timestamp
 from sentinel.harness import Burst, Scenario, bench, gen_etd_stream, gen_normal_rows, gen_ssh_logs
 from sentinel.phishing import Blacklist, evaluate_url
 from sentinel.retraining import (
@@ -58,7 +58,7 @@ def test_criterion_1_event_json_fidelity():
     with criterion(1, "event JSON fidelity"):
         # brute force: ten failures, alert on the tenth
         detector = BruteForceDetector(BruteForceConfig(threshold=10))
-        t0 = parse_timestamp("2025-02-12T15:22:52Z")
+        t0 = Timestamp.parse("2025-02-12T15:22:52Z")
         ip = IpAddress.parse("192.168.1.12")
         events = []
         for i in range(10):
@@ -71,13 +71,13 @@ def test_criterion_1_event_json_fidelity():
         assert events[0].to_dict() == _golden("golden_brute_force.json")
 
         _, alert = evaluate_url("http://secure-updates-login.com",
-                                now=parse_timestamp("2025-02-13T09:11:45Z"))
+                                now=Timestamp.parse("2025-02-13T09:11:45Z"))
         assert alert is not None
         assert alert.to_dict() == _golden("golden_phishing_heuristic.json")
 
         _, alert = evaluate_url("http://fake-bank-login.com",
                                 blacklist=Blacklist(["fake-bank-login.com"]),
-                                now=parse_timestamp("2025-02-12T16:45:10Z"))
+                                now=Timestamp.parse("2025-02-12T16:45:10Z"))
         assert alert is not None
         assert alert.to_dict() == _golden("golden_phishing_blacklist.json")
 
@@ -155,7 +155,7 @@ def test_criterion_6_brute_force_oracle():
         rng = random.Random(99)
         cfg = BruteForceConfig(threshold=5, window_secs=120, cooldown_secs=120)
         for _ in range(10):
-            t = parse_timestamp("2025-04-01T00:00:00Z")
+            t = Timestamp.parse("2025-04-01T00:00:00Z")
             recs = []
             for _ in range(400):
                 t = t.add_seconds(rng.uniform(0, 8))
@@ -183,7 +183,7 @@ def test_criterion_7_throughput():
 
 def test_criterion_8_zero_downtime_swap():
     with criterion(8, "zero-downtime model swap"):
-        t = parse_timestamp("2025-02-01T00:00:00Z")
+        t = Timestamp.parse("2025-02-01T00:00:00Z")
         old = train_model(gen_normal_rows(400, seed=20), trained_at=t)
         new = train_model(gen_normal_rows(400, seed=21), trained_at=t.add_seconds(60))
         registry = ModelRegistry(old)
@@ -218,7 +218,7 @@ def test_criterion_8_zero_downtime_swap():
 
 def test_criterion_9_retrain_validation_gate(tmp_path):
     with criterion(9, "retrain validation gate"):
-        t0 = parse_timestamp("2025-06-01T00:00:00Z")
+        t0 = Timestamp.parse("2025-06-01T00:00:00Z")
         stationary = [(t0.add_seconds(i * 60), row)
                       for i, row in enumerate(gen_normal_rows(3000, seed=30))]
         accepted, report = retrain(stationary, RetrainConfig(quantile=0.99),

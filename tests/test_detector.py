@@ -18,7 +18,7 @@ from sentinel.etd.detector import (
     train_model,
 )
 from sentinel.etd.features import FeatureRow
-from sentinel.events import Timestamp, parse_timestamp
+from sentinel.events import Timestamp
 from sentinel.harness import Scenario, gen_etd_stream, gen_normal_rows
 from sentinel.retraining import load_artifact
 
@@ -30,7 +30,7 @@ FAR_OFF = FeatureRow(hour=23, ip_numeric=4.0e9, status=0, failed_attempts=50,
 @pytest.fixture(scope="module")
 def artifact():
     return train_model(gen_normal_rows(2000, seed=10), q=0.99, seed=0,
-                       trained_at=parse_timestamp("2025-02-01T00:00:00Z"))
+                       trained_at=Timestamp.parse("2025-02-01T00:00:00Z"))
 
 
 def _mean_row(artifact):
@@ -89,7 +89,7 @@ class TestDetectStream:
 
     def test_events_carry_model_version_and_features(self, artifact):
         rows, labels = gen_etd_stream(Scenario(seed=4, n_rows=500, anomaly_rate=0.05))
-        stamps = [parse_timestamp("2025-02-02T00:00:00Z").add_seconds(i)
+        stamps = [Timestamp.parse("2025-02-02T00:00:00Z").add_seconds(i)
                   for i in range(len(rows))]
         events = detect_batch(artifact, rows, timestamps=stamps)
         assert events
@@ -113,7 +113,7 @@ class TestArtifactPayload:
 
     def test_version_is_content_addressed(self):
         rows = gen_normal_rows(200, seed=1)
-        t = parse_timestamp("2025-02-01T00:00:00Z")
+        t = Timestamp.parse("2025-02-01T00:00:00Z")
         a = train_model(rows, seed=0, trained_at=t)
         b = train_model(rows, seed=0, trained_at=t)
         c = train_model(rows, seed=1, trained_at=t)
@@ -195,7 +195,7 @@ class TestStoredArtifact:
     that the flat node table replaced, as ``json.dumps(a.to_payload())`` of
 
         train_model(gen_normal_rows(64, seed=1), tree_count=3, seed=0,
-                    trained_at=parse_timestamp("2025-02-01T00:00:00Z"))
+                    trained_at=Timestamp.parse("2025-02-01T00:00:00Z"))
     """
 
     def test_loads_verifies_and_round_trips_byte_for_byte(self):
@@ -211,5 +211,5 @@ class TestStoredArtifact:
     def test_fixed_seed_training_reproduces_it(self):
         # Same RNG call order, same trees, same content hash.
         artifact = train_model(gen_normal_rows(64, seed=1), tree_count=3, seed=0,
-                               trained_at=parse_timestamp("2025-02-01T00:00:00Z"))
+                               trained_at=Timestamp.parse("2025-02-01T00:00:00Z"))
         assert artifact.version == json.loads(STORED_ARTIFACT.read_text())["version"]

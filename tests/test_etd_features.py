@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import freq_recount
-from sentinel.events import IpAddress, parse_timestamp
+from sentinel.events import IpAddress, Timestamp
 from sentinel.etd.features import (
     FeatureRow,
     MANDATORY_FEATURES,
@@ -17,7 +17,7 @@ from sentinel.ssh_monitor import SshAuthRecord
 
 
 def _rec(iso, ip, status):
-    return SshAuthRecord(parse_timestamp(iso), "u", IpAddress.parse(ip), 22,
+    return SshAuthRecord(Timestamp.parse(iso), "u", IpAddress.parse(ip), 22,
                          status, False, "")
 
 
@@ -75,7 +75,7 @@ class TestExtract:
 
     def test_freq_matches_recount_oracle(self):
         rng = random.Random(9)
-        t = parse_timestamp("2025-02-12T00:00:00Z")
+        t = Timestamp.parse("2025-02-12T00:00:00Z")
         recs = []
         for _ in range(500):
             t = t.add_seconds(rng.uniform(0, 20))

@@ -12,25 +12,21 @@ from sentinel.events import (
     PhishingAlert,
     Timestamp,
     deserialize_event,
-    hour_of,
-    ip_to_numeric,
-    numeric_to_ip,
-    parse_timestamp,
     serialize_event,
 )
 
 
 class TestIpAddress:
     def test_low_octet(self):
-        assert ip_to_numeric("0.0.0.1") == 1
+        assert IpAddress.parse("0.0.0.1").to_numeric() == 1
 
     def test_all_ones(self):
-        assert ip_to_numeric("255.255.255.255") == 4294967295
+        assert IpAddress.parse("255.255.255.255").to_numeric() == 4294967295
 
     def test_positional_expansion(self):
         # hand check: 192*2^24 + 168*2^16 + 1*2^8 + 12
-        assert ip_to_numeric("192.168.1.12") == 192 * 2**24 + 168 * 2**16 + 1 * 2**8 + 12
-        assert ip_to_numeric("192.168.1.12") == 3232235788
+        assert IpAddress.parse("192.168.1.12").to_numeric() == 192 * 2**24 + 168 * 2**16 + 1 * 2**8 + 12
+        assert IpAddress.parse("192.168.1.12").to_numeric() == 3232235788
 
     @pytest.mark.parametrize("bad", ["1.2.3", "1.2.3.4.5", "256.1.1.1", "01.2.3.4",
                                      "a.b.c.d", "", "1.2.3.-4"])
@@ -43,33 +39,33 @@ class TestIpAddress:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_numeric_roundtrip(self, value):
-        assert numeric_to_ip(value).to_numeric() == value
+        assert IpAddress.from_numeric(value).to_numeric() == value
 
     def test_parse_roundtrip_random(self):
         import random
         rng = random.Random(7)
         for _ in range(10_000):
             value = rng.randrange(2**32)
-            ip = numeric_to_ip(value)
-            assert ip_to_numeric(str(ip)) == value
+            ip = IpAddress.from_numeric(value)
+            assert IpAddress.parse(str(ip)).to_numeric() == value
 
 
 class TestTimestamp:
     def test_iso_parse_hour(self):
-        ts = parse_timestamp("2025-02-12T15:23:01Z")
-        assert hour_of(ts) == 15
+        ts = Timestamp.parse("2025-02-12T15:23:01Z")
+        assert ts.hour() == 15
         assert ts.isoformat() == "2025-02-12T15:23:01Z"
 
     def test_syslog_parse_with_year(self):
-        ts = parse_timestamp("Feb 12 15:23:01", default_year=2025)
+        ts = Timestamp.parse("Feb 12 15:23:01", default_year=2025)
         assert ts.isoformat() == "2025-02-12T15:23:01Z"
 
     def test_midnight_hour(self):
-        assert hour_of(parse_timestamp("2025-01-01T00:00:00Z")) == 0
+        assert Timestamp.parse("2025-01-01T00:00:00Z").hour() == 0
 
     def test_unparseable_echoes_input(self):
         with pytest.raises(ParseError, match="nonsense"):
-            parse_timestamp("nonsense")
+            Timestamp.parse("nonsense")
 
     def test_serialized_form_ends_in_z_no_fraction(self):
         ts = Timestamp.now()
@@ -77,18 +73,18 @@ class TestTimestamp:
         assert text.endswith("Z") and "." not in text
 
     def test_roundtrip(self):
-        ts = parse_timestamp("2025-06-30T23:59:59Z")
-        assert parse_timestamp(ts.isoformat()) == ts
+        ts = Timestamp.parse("2025-06-30T23:59:59Z")
+        assert Timestamp.parse(ts.isoformat()) == ts
 
 
 def _ts_strategy():
     return st.integers(min_value=0, max_value=2**31).map(
-        lambda s: parse_timestamp("1970-01-01T00:00:00Z").add_seconds(s))
+        lambda s: Timestamp.parse("1970-01-01T00:00:00Z").add_seconds(s))
 
 
 def _event_strategy():
     ts = _ts_strategy()
-    ip = st.integers(min_value=0, max_value=2**32 - 1).map(numeric_to_ip)
+    ip = st.integers(min_value=0, max_value=2**32 - 1).map(IpAddress.from_numeric)
     brute = st.builds(BruteForce, ts, ip, st.integers(min_value=1, max_value=10**6))
     phish = st.builds(
         PhishingAlert, ts,
@@ -109,7 +105,7 @@ def _event_strategy():
 
 class TestEventJson:
     def test_brute_force_field_order_and_values(self):
-        event = BruteForce(parse_timestamp("2025-02-12T15:23:01Z"),
+        event = BruteForce(Timestamp.parse("2025-02-12T15:23:01Z"),
                            IpAddress.parse("192.168.1.12"), 10)
         text = serialize_event(event)
         assert list(json.loads(text).keys()) == ["timestamp", "event_type", "ip",
@@ -122,7 +118,7 @@ class TestEventJson:
         }
 
     def test_phishing_alert_keys(self):
-        event = PhishingAlert(parse_timestamp("2025-02-12T16:45:10Z"),
+        event = PhishingAlert(Timestamp.parse("2025-02-12T16:45:10Z"),
                               "http://fake-bank-login.com", 100, DetectionMethod.BLACKLIST)
         obj = json.loads(serialize_event(event))
         assert set(obj) == {"timestamp", "event_type", "url", "score", "detection_method"}

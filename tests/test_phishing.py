@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import levenshtein_recursive
-from sentinel.events import DetectionMethod, parse_timestamp
+from sentinel.events import DetectionMethod, Timestamp
 from sentinel.phishing import (
     Blacklist,
     HeuristicWeights,
@@ -215,7 +215,7 @@ class TestEvaluateUrl:
         assert verdict.score == 0 and event is None
 
     def test_stateless(self):
-        now = parse_timestamp("2025-02-13T09:11:45Z")
+        now = Timestamp.parse("2025-02-13T09:11:45Z")
         first = evaluate_url("http://secure-updates-login.com", now=now)
         second = evaluate_url("http://secure-updates-login.com", now=now)
         assert first == second
@@ -228,8 +228,8 @@ class TestEvaluateUrl:
 class TestUrlEvaluator:
     def test_each_alert_carries_its_own_now(self):
         ev = UrlEvaluator()
-        first, second = (parse_timestamp("2025-01-01T00:00:00Z"),
-                         parse_timestamp("2025-06-01T00:00:00Z"))
+        first, second = (Timestamp.parse("2025-01-01T00:00:00Z"),
+                         Timestamp.parse("2025-06-01T00:00:00Z"))
         _, a = ev.evaluate("http://secure-updates-login.com", now=first)
         _, b = ev.evaluate("http://secure-updates-login.com", now=second)
         assert a.timestamp == first and b.timestamp == second

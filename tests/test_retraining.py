@@ -5,7 +5,7 @@ import pytest
 
 from sentinel.etd.detector import score_event, train_model
 from sentinel.etd.gaussian import TrainingError
-from sentinel.events import parse_timestamp
+from sentinel.events import Timestamp
 from sentinel.harness import Scenario, gen_etd_stream, gen_normal_rows
 from sentinel.retraining import (
     CorruptArtifactError,
@@ -23,7 +23,7 @@ from sentinel.retraining import (
     swap_model,
 )
 
-T0 = parse_timestamp("2025-06-01T00:00:00Z")
+T0 = Timestamp.parse("2025-06-01T00:00:00Z")
 
 
 def _timed(rows, start=T0, spacing=60.0):
@@ -162,8 +162,8 @@ class FakeClock:
 
 class TestSchedule:
     def test_weekly_three_triggers_in_three_weeks(self):
-        clock = FakeClock(parse_timestamp("2025-06-01T00:00:00Z"))  # a Sunday
-        end = parse_timestamp("2025-06-22T00:00:00Z")
+        clock = FakeClock(Timestamp.parse("2025-06-01T00:00:00Z"))  # a Sunday
+        end = Timestamp.parse("2025-06-22T00:00:00Z")
         gen = schedule_retrain("0 3 * * 1", clock=clock,
                                stop=lambda: clock() >= end,
                                sleep=lambda s: clock.advance(s))
@@ -173,17 +173,17 @@ class TestSchedule:
         assert all(f.instant.weekday() == 0 and f.instant.hour == 3 for f in fired)
 
     def test_missed_ticks_coalesce(self):
-        clock = FakeClock(parse_timestamp("2025-06-01T00:00:00Z"))
+        clock = FakeClock(Timestamp.parse("2025-06-01T00:00:00Z"))
         gen = schedule_retrain("every 3600s", clock=clock,
                                sleep=lambda s: clock.advance(s))
         first = next(gen)
-        assert first == parse_timestamp("2025-06-01T01:00:00Z")
+        assert first == Timestamp.parse("2025-06-01T01:00:00Z")
         clock.advance(5 * 3600)  # process asleep across several ticks
         second = next(gen)  # exactly one catch-up trigger
         # the backlog never accumulates: the next fire is rescheduled from
         # the wake time, so the third trigger lands at 07:00, not 03:00
         third = next(gen)
-        assert third == parse_timestamp("2025-06-01T07:00:00Z")
+        assert third == Timestamp.parse("2025-06-01T07:00:00Z")
 
     @pytest.mark.parametrize("spec", ["61 * * * *", "* * *", "a b c d e", "every -5s"])
     def test_malformed_spec_rejected(self, spec):

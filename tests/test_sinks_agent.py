@@ -13,7 +13,7 @@ from sentinel.events import (
     IpAddress,
     PhishingAlert,
     DetectionMethod,
-    parse_timestamp,
+    Timestamp,
     serialize_event,
 )
 from sentinel.mitigation import MitigationPolicy, mitigate
@@ -27,7 +27,7 @@ from sentinel.sinks import (
     dispatch_alert,
 )
 
-T0 = parse_timestamp("2025-02-12T15:23:01Z")
+T0 = Timestamp.parse("2025-02-12T15:23:01Z")
 BRUTE = BruteForce(T0, IpAddress.parse("192.168.1.12"), 10)
 
 
@@ -337,6 +337,84 @@ class TestAgent:
         assert agent.dead_letter.count == 3
         assert agent._restart_log == []
 
+    def _alerts(self, tmp_path, kind):
+        sink = tmp_path / "alerts.ndjson"
+        lines = sink.read_text().splitlines() if sink.exists() else []
+        return [e for e in map(json.loads, lines) if e["event_type"] == kind]
+
+    def test_ssh_monitor_restart_resumes_without_replay(self, tmp_path):
+        from sentinel.agent import Agent
+
+        log = tmp_path / "auth.log"
+        log.write_text("\n".join(_burst_lines("203.0.113.7")) + "\n")
+        agent = Agent(_agent_config(tmp_path, log))
+        state = {"raised": False}
+        score = agent._score_records
+
+        def flaky(records):
+            if not state["raised"]:
+                state["raised"] = True
+                raise RuntimeError("injected fault")
+            score(records)
+
+        agent._score_records = flaky
+        agent.start()
+        assert _wait_for(lambda: agent._restart_log)
+        # A replay of the log would raise a second alert within a few polls.
+        _wait_for(lambda: len(self._alerts(tmp_path, "BruteForce")) > 1, timeout=1.0)
+        agent.stop()
+        assert len(self._alerts(tmp_path, "BruteForce")) == 1
+
+    def test_unscorable_slice_is_counted_not_fatal(self, tmp_path):
+        from sentinel.agent import Agent
+        from sentinel.etd.detector import train_model
+        from sentinel.etd.features import FeatureRow
+        from sentinel.harness import gen_normal_rows
+
+        # The streaming extractor never sets url_risk, so no slice can be scored.
+        rows = [FeatureRow(**row.as_dict(), url_risk=float(i % 7))
+                for i, row in enumerate(gen_normal_rows(300, seed=5))]
+        log = tmp_path / "auth.log"
+        log.write_text("\n".join(_burst_lines("203.0.113.7")) + "\n")
+        agent = Agent(_agent_config(tmp_path, log))
+        agent.registry.swap(train_model(rows, tree_count=10, trained_at=T0))
+        agent.start()
+        assert _wait_for(lambda: agent.unscored_slices == 1)
+        _wait_for(lambda: len(self._alerts(tmp_path, "BruteForce")) > 1, timeout=1.0)
+        agent.stop()
+        assert len(self._alerts(tmp_path, "BruteForce")) == 1
+        assert agent.unscored_slices == 1
+        assert len(agent._timed_rows) == 6  # still buffered for retraining
+        assert agent._restart_log == []
+
+    def test_url_feed_restart_retries_the_failed_line_only(self, tmp_path):
+        from sentinel.agent import Agent
+
+        urls = ["http://secure-updates-login.com", "http://verify-account-login.com/x",
+                "http://secure-login-update.net/verify"]
+        feed = tmp_path / "urls.ndjson"
+        feed.write_text("".join(json.dumps({"url": url}) + "\n" for url in urls))
+        cfg = _agent_config(tmp_path)
+        cfg.url_feed = str(feed)
+        agent = Agent(cfg)
+        state = {"raised": False}
+        evaluate = agent.url_evaluator.evaluate
+
+        def flaky(url, now=None):
+            if url == urls[2] and not state["raised"]:
+                state["raised"] = True
+                raise RuntimeError("injected fault")
+            return evaluate(url, now=now)
+
+        agent.url_evaluator.evaluate = flaky
+        agent.start()
+        assert _wait_for(lambda: len(self._alerts(tmp_path, "PhishingAlert")) >= 3)
+        _wait_for(lambda: len(self._alerts(tmp_path, "PhishingAlert")) > 3, timeout=1.0)
+        agent.stop()
+        assert [e["url"] for e in self._alerts(tmp_path, "PhishingAlert")] == urls
+        assert len(agent._restart_log) == 1
+
+
 class TestConfig:
     def test_flat_file_parse(self):
         values = parse_flat_config("# comment\nssh.threshold = 7\nsink.stdout = true\n")
@@ -367,6 +445,12 @@ class TestConfig:
     def test_no_sink_rejected(self):
         with pytest.raises(ConfigError, match="sink"):
             AgentConfig.from_values({})
+
+    @pytest.mark.parametrize("entry", ["10.0.0.01", "10.0.0.256", "host1.example"])
+    def test_whitelist_entry_that_cannot_match_is_named(self, entry):
+        with pytest.raises(ConfigError, match=entry):
+            AgentConfig.from_values({"sink.stdout": "true",
+                                     "ssh.whitelist": f"10.0.0.1, {entry}"})
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(Exception):

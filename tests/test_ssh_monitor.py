@@ -1,11 +1,14 @@
+import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import window_recount_events
-from sentinel.events import IpAddress, parse_timestamp
+from sentinel.events import IpAddress, Timestamp
+from sentinel.harness import Burst, Scenario, gen_ssh_logs
 from sentinel.ssh_monitor import (
     BruteForceConfig,
     BruteForceDetector,
@@ -21,6 +24,41 @@ FAILED = ("Feb 12 15:23:01 host1 sshd[812]: Failed password for invalid user adm
 ACCEPTED = ("Feb 12 15:24:10 host1 sshd[812]: Accepted publickey for alice "
             "from 198.51.100.3 port 40022 ssh2")
 
+# Written by scan_batch of the two-regex parser (commit 20200bc) from
+# golden_parse_lines(); the one-pass parser must reproduce it byte for byte.
+GOLDEN_PARSE = Path(__file__).parent / "data" / "golden_ssh_parse.json"
+PARSE_EDGE_LINES = [
+    "Failed password for root from 203.0.113.9 port 22 ssh2",  # no syslog stamp
+    "Feb  1 01:00:01 host1 sshd[9]: Failed password for root from 2001:db8::1 port 2222 ssh2",
+    "Feb  1 01:00:01 host1 sshd[9]: Failed password for root from 10.0.0.01 port 22 ssh2",
+    "Feb  1 01:00:02 host1 sshd[9]: Failed password for root from 10.0.0.256 port 22 ssh2",
+    "Feb  1 01:00:02 host1 sshd[9]: Accepted password for alice from 10.0.0.1 port 22 ssh2 \t ",
+    "Feb  1 01:00:02 host1 sshd[9]: Failed password for invalid from 203.0.113.9 port 22 ssh2",
+    "Feb  1 01:00:03 host1 sshd[9]: pam_unix(sshd:session): session opened for user alice",
+] + [
+    f"Feb  1 01:00:03 host1 sshd[9]: Failed password for invalid user oracle "
+    f"from 203.0.113.9 port {50000 + i} ssh2\n"
+    for i in range(5)
+]
+
+
+def golden_parse_lines():
+    lines, _ = gen_ssh_logs(Scenario(
+        seed=11, duration_hours=1.0, normal_login_rate=240.0,
+        attacker_bursts=(Burst("198.51.100.9", 900.0, 12), Burst("203.0.113.50", 2400.0, 6, 3.0))))
+    return lines + PARSE_EDGE_LINES
+
+
+def parse_golden(lines, year=2025):
+    """Each record's and event's repr, the skip count and the ParseStats
+    of parsing every line."""
+    records, events, skipped = scan_batch(lines, year=year)
+    stats = ParseStats()
+    for line in lines:
+        parse_ssh_line(line, year=year, stats=stats)
+    return {"records": [repr(r) for r in records], "events": [repr(e) for e in events],
+            "skipped": skipped, "stats": repr(stats)}
+
 
 class TestParse:
     def test_failed_line(self):
@@ -30,7 +68,7 @@ class TestParse:
         assert rec.invalid_user is True
         assert str(rec.ip) == "203.0.113.7"
         assert rec.port == 52344
-        assert rec.timestamp == parse_timestamp("2025-02-12T15:23:01Z")
+        assert rec.timestamp == Timestamp.parse("2025-02-12T15:23:01Z")
 
     def test_accepted_line(self):
         rec = parse_ssh_line(ACCEPTED, year=2025)
@@ -57,9 +95,41 @@ class TestParse:
     def test_never_raises_on_arbitrary_bytes(self, blob):
         parse_ssh_line(blob.decode("latin-1"))
 
+    def test_impossible_stamp_skipped(self):
+        stats = ParseStats()
+        assert parse_ssh_line(FAILED.replace("Feb 12", "Feb 30"), year=2025, stats=stats) is None
+        assert parse_ssh_line(FAILED.replace("Feb 12", "Fub 12"), year=2025, stats=stats) is None
+        assert stats == ParseStats(skipped=2)
+
+    def test_matches_golden_of_two_regex_parser(self):
+        golden = json.loads(GOLDEN_PARSE.read_text())
+        assert golden["lines"] == golden_parse_lines()
+        assert parse_golden(golden["lines"]) == golden["expected"]
+
+    def test_clock_read_only_for_unstamped_lines(self):
+        calls = []
+
+        def clock():
+            calls.append(1)
+            return Timestamp.parse("2025-02-12T15:30:00Z")
+
+        unstamped = FAILED.split(": ", 1)[1]
+        recs = [parse_ssh_line(line, year=2025, clock=clock)
+                for line in (FAILED, unstamped, ACCEPTED, ACCEPTED, unstamped, FAILED)]
+        assert len(calls) == 2
+        assert [r.timestamp.isoformat() for r in recs] == [
+            "2025-02-12T15:23:01Z", "2025-02-12T15:30:00Z", "2025-02-12T15:24:10Z",
+            "2025-02-12T15:24:10Z", "2025-02-12T15:30:00Z", "2025-02-12T15:23:01Z"]
+
+    def test_repeated_stamp_takes_each_lines_year(self):
+        first = parse_ssh_line(FAILED, year=2024)
+        second = parse_ssh_line(FAILED, year=2025)
+        assert first.timestamp.isoformat() == "2024-02-12T15:23:01Z"
+        assert second.timestamp.isoformat() == "2025-02-12T15:23:01Z"
+
 
 def _failures(ip, start_iso, count, spacing=1.0, year=2025):
-    t0 = parse_timestamp(start_iso)
+    t0 = Timestamp.parse(start_iso)
     recs = []
     for i in range(count):
         ts = t0.add_seconds(i * spacing)
@@ -135,7 +205,7 @@ class TestDetector:
         cfg = BruteForceConfig(threshold=4, window_secs=60, cooldown_secs=60)
         for trial in range(10):
             recs = []
-            t = parse_timestamp("2025-03-01T00:00:00Z")
+            t = Timestamp.parse("2025-03-01T00:00:00Z")
             for _ in range(300):
                 t = t.add_seconds(rng.uniform(0, 10))
                 ip = IpAddress.parse(rng.choice(["9.9.9.9", "8.8.8.8", "7.7.7.7"]))
@@ -173,7 +243,7 @@ class TestTailSource:
     def test_yields_appended_lines(self, tmp_path):
         path = tmp_path / "auth.log"
         path.write_text("one\n")
-        src = TailSource(path=str(path), poll_secs=0.01)
+        src = TailSource(path=str(path))
         assert src.poll() == ["one"]
         with open(path, "a") as fh:
             fh.write("two\nthree\nfour\n")
@@ -182,16 +252,39 @@ class TestTailSource:
     def test_truncation_restarts_from_zero(self, tmp_path):
         path = tmp_path / "auth.log"
         path.write_text("aaaa\nbbbb\n")
-        src = TailSource(path=str(path), poll_secs=0.01)
+        src = TailSource(path=str(path))
         src.poll()
         path.write_text("cc\n")  # shorter: rotation
         assert src.poll() == ["cc"]
 
     def test_missing_path_degrades_health(self, tmp_path):
-        src = TailSource(path=str(tmp_path / "nope.log"), poll_secs=0.01)
+        src = TailSource(path=str(tmp_path / "nope.log"))
         assert src.poll() == []
         assert src.healthy is False
 
+    def test_partial_line_waits_for_its_end(self, tmp_path):
+        path = tmp_path / "auth.log"
+        line = ("Feb 12 15:23:01 host1 sshd[812]: Failed password for root "
+                "from 203.0.113.9 port 22 ssh2")
+        path.write_text(line[:-9])  # "... po", no newline yet
+        src = TailSource(path=str(path))
+        assert src.poll() == []
+        with open(path, "a") as fh:
+            fh.write(line[-9:] + "\n")
+        lines = src.poll()
+        assert lines == [line]
+        assert parse_ssh_line(lines[0], year=2025).port == 22
+
+    def test_only_newline_ends_a_line(self, tmp_path):
+        path = tmp_path / "feed.log"
+        data = "a\x85b\u2028c\x1cd\n".encode()
+        path.write_bytes(data[:2])  # "a" and half of the two-byte U+0085
+        src = TailSource(path=str(path))
+        assert src.poll() == []
+        with open(path, "ab") as fh:
+            fh.write(data[2:])
+        assert src.poll() == ["a\x85b\u2028c\x1cd"]
+
     def test_command_source(self):
-        src = TailSource(command="printf 'x\\ny\\n'", poll_secs=0.01)
+        src = TailSource(command="printf 'x\\ny\\n'")
         assert src.poll() == ["x", "y"]
