@@ -181,10 +181,6 @@ class ModelRegistry:
             self._artifact = candidate
 
 
-def swap_model(registry: ModelRegistry, candidate: ModelArtifact) -> None:
-    registry.swap(candidate)
-
-
 # --- scheduling -----------------------------------------------------------
 
 _CRON_RANGES = ((0, 59), (0, 23), (1, 31), (1, 12), (0, 6))

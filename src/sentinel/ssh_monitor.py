@@ -7,6 +7,7 @@ event once the count inside the window reaches the configured threshold.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import re
@@ -40,6 +41,8 @@ _AUTH_SHAPE_RE = re.compile(
 
 # Tolerated clock skew for out-of-order records.
 OUT_OF_ORDER_TOLERANCE_SECS = 5.0
+# Longest unterminated last line a TailSource holds between polls.
+MAX_PARTIAL_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,11 @@ class ParseStats:
     dropped_out_of_order: int = 0
 
 
-# (stamp text, year, Timestamp) of the last stamped line: sshd writes many
-# lines per second, so most lines repeat it.  The tuple is read and replaced
-# whole, so a thread never sees a torn entry.
-_last_stamp: tuple = ("", None, None)
+@functools.lru_cache(maxsize=1)
+def _stamp(text: str, year: Optional[int]) -> Timestamp:
+    """Timestamp.parse, cached for one stamp: the cache pays while
+    consecutive lines share their stamp (over one line per log second)."""
+    return Timestamp.parse(text, default_year=year)
 
 
 def parse_ssh_line(
@@ -109,7 +113,6 @@ def parse_ssh_line(
     names no real date (``Feb 30``).  A stamp is parsed once while it
     repeats, so with ``year=None`` it keeps the year of its first line.
     """
-    global _last_stamp
     m = _AUTH_RE.match(line)
     if m is None:
         if stats:
@@ -119,15 +122,12 @@ def parse_ssh_line(
     stamp, failed, invalid, user, ip_text, port = m.group(
         "ts", "failed", "invalid", "user", "ip", "port")
     if stamp:
-        text, memo_year, ts = _last_stamp
-        if stamp != text or year != memo_year:
-            try:
-                ts = Timestamp.parse(stamp, default_year=year)
-            except ParseError:
-                if stats:
-                    stats.skipped += 1
-                return None
-            _last_stamp = (stamp, year, ts)
+        try:
+            ts = _stamp(stamp, year)
+        except ParseError:
+            if stats:
+                stats.skipped += 1
+            return None
     elif clock is not None:
         ts = clock()
     else:
@@ -231,8 +231,10 @@ class TailSource:
 
     File sources resume from the stored offset; truncation (rotation)
     restarts from offset 0.  Lines end only at ``\n``: an unterminated
-    last line is held back until a later poll completes it.  A missing
-    source degrades health rather than raising.
+    last line is held back until a later poll completes it, unless it
+    grows past ``MAX_PARTIAL_BYTES``; then it is dropped up to its end
+    and counted in ``overlong_lines``.  A missing source degrades health
+    rather than raising.
     """
 
     def __init__(self, path: Optional[str] = None, command: Optional[str] = None):
@@ -243,6 +245,8 @@ class TailSource:
         self.healthy = True
         self._offset = 0
         self._partial = b""  # bytes after the last newline read so far
+        self._overlong = False  # inside a line being dropped
+        self.overlong_lines = 0
 
     def poll(self) -> List[str]:
         """One polling pass; returns any new complete lines."""
@@ -254,8 +258,7 @@ class TailSource:
         try:
             with open(self.path, "rb") as fh:
                 if os.fstat(fh.fileno()).st_size < self._offset:  # truncated / rotated
-                    self._offset = 0
-                    self._partial = b""
+                    self._offset, self._partial, self._overlong = 0, b"", False
                 fh.seek(self._offset)
                 chunk = fh.read()
         except OSError as exc:
@@ -266,8 +269,15 @@ class TailSource:
         self.healthy = True
         self._offset += len(chunk)
         data = self._partial + chunk
+        if self._overlong:  # drop up to the end of the overlong line
+            cut = data.find(b"\n") + 1
+            data, self._overlong = (data[cut:], False) if cut else (b"", True)
         end = data.rfind(b"\n") + 1
         self._partial = data[end:]
+        if len(self._partial) > MAX_PARTIAL_BYTES:
+            log.warning("dropping a line of %s longer than %d bytes", self.path, MAX_PARTIAL_BYTES)
+            self._partial, self._overlong = b"", True
+            self.overlong_lines += 1
         return data[:end].decode("utf-8", errors="replace").split("\n")[:-1]
 
     def _poll_command(self) -> List[str]:

@@ -20,7 +20,6 @@ from sentinel.retraining import (
     retrain,
     schedule_retrain,
     select_window,
-    swap_model,
 )
 
 T0 = Timestamp.parse("2025-06-01T00:00:00Z")
@@ -111,7 +110,7 @@ class TestRegistry:
     def test_swap_idempotent(self):
         artifact = train_model(gen_normal_rows(200, 11), trained_at=T0)
         reg = ModelRegistry(artifact)
-        swap_model(reg, artifact)
+        reg.swap(artifact)
         assert reg.get() is artifact
 
     def test_concurrent_scoring_never_sees_mixed_state(self):

@@ -364,6 +364,9 @@ class TestAgent:
         _wait_for(lambda: len(self._alerts(tmp_path, "BruteForce")) > 1, timeout=1.0)
         agent.stop()
         assert len(self._alerts(tmp_path, "BruteForce")) == 1
+        # The slice in flight at the crash is skipped: it is neither scored
+        # nor buffered for retraining.
+        assert len(agent._timed_rows) == 0
 
     def test_unscorable_slice_is_counted_not_fatal(self, tmp_path):
         from sentinel.agent import Agent

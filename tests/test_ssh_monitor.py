@@ -12,6 +12,7 @@ from sentinel.harness import Burst, Scenario, gen_ssh_logs
 from sentinel.ssh_monitor import (
     BruteForceConfig,
     BruteForceDetector,
+    MAX_PARTIAL_BYTES,
     ParseStats,
     SshAuthRecord,
     TailSource,
@@ -284,6 +285,29 @@ class TestTailSource:
         with open(path, "ab") as fh:
             fh.write(data[2:])
         assert src.poll() == ["a\x85b\u2028c\x1cd"]
+
+    def test_unterminated_run_is_capped_and_dropped_to_its_end(self, tmp_path):
+        path = tmp_path / "feed.log"
+        path.write_bytes(b"")
+        src = TailSource(path=str(path))
+        piece = b"x" * (MAX_PARTIAL_BYTES // 2)
+        long_line = piece + b"y" * 100
+        with open(path, "ab") as fh:  # a line under the cap, split across polls
+            fh.write(piece)
+        assert src.poll() == []
+        with open(path, "ab") as fh:
+            fh.write(long_line[len(piece):] + b"\n")
+        assert src.poll() == [long_line.decode()]
+        for _ in range(4):  # a writer that never ends its line
+            with open(path, "ab") as fh:
+                fh.write(piece)
+            assert src.poll() == []
+            assert len(src._partial) <= MAX_PARTIAL_BYTES
+        assert src.overlong_lines == 1
+        with open(path, "ab") as fh:
+            fh.write(b"rest of it\nnext\n")
+        assert src.poll() == ["next"]
+        assert src.overlong_lines == 1
 
     def test_command_source(self):
         src = TailSource(command="printf 'x\\ny\\n'")
