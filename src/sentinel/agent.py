@@ -45,6 +45,9 @@ SHUTDOWN_GRACE_SECS = 5.0
 # 2-core x86 VM, and no less in larger ones; a larger slice only holds its
 # anomaly alerts back for longer.
 SCORE_SLICE = 256
+# A URL-feed line whose check raises this many times in a row is
+# dead-lettered, so that one bad line cannot stall the feed for good.
+URL_LINE_ATTEMPTS = 3
 
 
 class _Supervised(threading.Thread):
@@ -113,6 +116,7 @@ class Agent:
         self._ssh_lines: deque = deque()
         self.url_source = TailSource(path=cfg.url_feed) if cfg.url_feed else None
         self._url_lines: deque = deque()
+        self._url_head_failures = 0  # consecutive crashes on _url_lines[0]
 
         geo = None
         if cfg.etd.geo_table_path:
@@ -210,8 +214,18 @@ class Agent:
         while not self.stop_event.is_set():
             lines.extend(self.url_source.poll())
             while lines:
-                # A line leaves the queue once checked, so a restart retries it.
-                self._check_url(lines[0])
+                # A line leaves the queue once checked, so a restart retries it,
+                # until it has failed URL_LINE_ATTEMPTS times in a row.
+                try:
+                    self._check_url(lines[0])
+                except Exception as exc:
+                    self._url_head_failures += 1
+                    if self._url_head_failures < URL_LINE_ATTEMPTS:
+                        raise
+                    log.exception("dead-lettering a url feed line that failed %d times",
+                                  URL_LINE_ATTEMPTS)
+                    self.dead_letter.record(json.dumps(lines[0]), type(exc).__name__)
+                self._url_head_failures = 0
                 lines.popleft()
             self.stop_event.wait(0.2)
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
-from . import harness
 from .config import AgentConfig, ConfigError
 from .events import Timestamp
 from .etd.detector import score_batch, train_model
@@ -31,6 +31,20 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _stop_on_signals(stop_event) -> None:
+    """SIGTERM or SIGINT asks the agent to stop and drain its queue; a
+    second one ends the process at once.  Installed whatever the parent
+    left, so that a daemon started in the background, with SIGINT
+    ignored, still stops gracefully."""
+    def request_stop(signum, frame):
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(sig, signal.SIG_DFL)
+        stop_event.set()
+
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, request_stop)
+
+
 def cmd_run(args) -> int:
     from .agent import Agent
     try:
@@ -39,15 +53,20 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return Agent(cfg).run_forever()
+        agent = Agent(cfg)
+        _stop_on_signals(agent.stop_event)
+        return agent.run_forever()
     except Exception as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 
 def cmd_parse(args) -> int:
-    with open(args.logfile, errors="replace") as fh:
-        lines = fh.read().splitlines()
+    # Only "\n" ends a line, as in the daemon's TailSource: str.splitlines
+    # would also split at U+2028, \x85 or \x1c inside an attacker's username.
+    lines = Path(args.logfile).read_bytes().decode("utf-8", errors="replace").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last line
     records, events, skipped = scan_batch(lines, year=args.year)
     _emit({
         "records": len(records),
@@ -133,6 +152,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import harness
     scenario = harness.Scenario(
         seed=args.seed,
         duration_hours=args.hours,
@@ -164,12 +184,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import harness
     report = harness.bench(args.target, args.count, seed=args.seed)
     _emit({"target": args.target, "n": args.count, **report.to_dict()})
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    from . import harness
     detections = json.loads(Path(args.detections).read_text())
     labels = json.loads(Path(args.labels).read_text())
     report = harness.evaluate([bool(d) for d in detections], [bool(l) for l in labels])

@@ -116,9 +116,9 @@ class AgentConfig:
                 quantile=_get_float(values, "etd.quantile", 0.99),
                 schedule=values.get("etd.schedule", "0 3 * * 1"),
             )
+            ScheduleSpec.parse(retrain.schedule)  # fail fast on a bad spec
         except ValueError as exc:
             raise ConfigError(str(exc))
-        ScheduleSpec.parse(retrain.schedule)  # fail fast on a bad spec
 
         weights = HeuristicWeights()
         if "phish.threshold" in values:

@@ -8,11 +8,15 @@ tau from the training scores.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2
+
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS
 
 
 class TrainingError(ValueError):
@@ -67,6 +71,59 @@ def mahalanobis_scores(model: GaussianModel, X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", diff, model.cov_inv, diff)
 
 
+def _chi2_shortfall(x: float, df: int, q: float) -> float:
+    """q minus the chi-squared CDF at x, P(df/2, x/2): positive below the
+    q-quantile.  Below a+1, P comes from its series; above it, Q = 1 - P
+    comes from Lentz's continued fraction (Numerical Recipes, 3rd ed.,
+    section 6.2) and is compared with 1 - q, so that the upper tail keeps
+    its relative precision."""
+    a, y = df / 2.0, x / 2.0
+    if y <= 0.0:
+        return q
+    front = math.exp(a * math.log(y) - y - math.lgamma(a))
+    if y < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * _EPS:
+            n += 1.0
+            term *= y / n
+            total += term
+        return q - total * front
+    b = y + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) > _TINY else _TINY
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    return front * h - (1.0 - q)
+
+
+def chi2_quantile(q: float, df: int) -> float:
+    """The x at which the chi-squared CDF with ``df`` degrees of freedom
+    reaches q: bisected down to two adjacent floats, then the one with
+    the smaller shortfall.  Taking the nearer float, not the upper one,
+    matters: tau is part of a model's content hash."""
+    lo, hi = 0.0, float(df)
+    while _chi2_shortfall(hi, df, q) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return min(lo, hi, key=lambda x: abs(_chi2_shortfall(x, df, q)))
+        if _chi2_shortfall(mid, df, q) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def calibrate_tau(model: GaussianModel, X_norm: np.ndarray, q: float) -> float:
     """Threshold = max(empirical q-quantile of training scores, chi2 quantile).
 
@@ -80,7 +137,7 @@ def calibrate_tau(model: GaussianModel, X_norm: np.ndarray, q: float) -> float:
         raise ValueError("cannot calibrate tau on empty data")
     scores = mahalanobis_scores(model, X_norm)
     empirical = float(np.quantile(scores, q, method="higher"))
-    floor = float(chi2.ppf(q, df=model.dim))
+    floor = chi2_quantile(q, model.dim)
     return max(empirical, floor)
 
 

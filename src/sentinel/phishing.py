@@ -62,7 +62,9 @@ class Blacklist:
     """Set of known-bad domains; lookup is case-insensitive."""
 
     def __init__(self, domains: Iterable[str] = ()):
-        self._domains: Set[str] = {d.strip().lower() for d in domains if d.strip()}
+        # As in parse_url, the fully qualified "evil.example." is "evil.example".
+        names = (d.strip().lower().removesuffix(".") for d in domains)
+        self._domains: Set[str] = {name for name in names if name}
 
     @classmethod
     def load(cls, path: str) -> "Blacklist":

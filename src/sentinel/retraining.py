@@ -184,6 +184,7 @@ class ModelRegistry:
 # --- scheduling -----------------------------------------------------------
 
 _CRON_RANGES = ((0, 59), (0, 23), (1, 31), (1, 12), (0, 6))
+_LONGEST_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 @dataclass
@@ -229,6 +230,9 @@ class ScheduleSpec:
             if not lo <= number <= hi:
                 raise ScheduleError(f"cron field {value!r} out of range [{lo},{hi}]")
             parsed.append(number)
+        _, _, dom, month, _ = parsed
+        if dom is not None and month is not None and dom > _LONGEST_MONTH[month - 1]:
+            raise ScheduleError(f"cron spec never fires, month {month} has no day {dom}: {text!r}")
         return cls(cron_fields=tuple(parsed))
 
     def next_fire(self, after: Timestamp) -> Timestamp:

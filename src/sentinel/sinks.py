@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import requests
-
 from .events import SecurityEvent, serialize_event
 
 log = logging.getLogger(__name__)
@@ -97,10 +95,13 @@ class WebhookSink:
     name = "webhook"
 
     def __init__(self, cfg: SinkConfig, session=None):
+        import requests  # imported here: only a webhook uses it, and it is slow to load
+
         self.url = cfg.target
         self.timeout = cfg.timeout_secs
         self.retry = cfg.retry
         self.session = session or requests.Session()
+        self._transport_error = requests.RequestException
 
     def deliver(self, payload: str) -> DeliveryResult:
         attempts = self.retry + 1
@@ -112,7 +113,7 @@ class WebhookSink:
                     headers={"Content-Type": "application/json"},
                     timeout=self.timeout,
                 )
-            except requests.RequestException as exc:
+            except self._transport_error as exc:
                 last_error = str(exc)
                 continue
             if resp.status_code < 500:

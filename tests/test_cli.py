@@ -1,8 +1,22 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import sentinel
 from sentinel.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+
+SRC = str(Path(sentinel.__file__).resolve().parents[1])
+
+
+def _python_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def _run(capsys, *argv):
@@ -51,6 +65,20 @@ class TestParse:
         assert result["records"] == 10 and result["skipped"] == 1
         assert len(result["events"]) == 1
         assert result["events"][0]["event_type"] == "BruteForce"
+
+
+    def test_line_ends_only_at_newline(self, capsys, tmp_path):
+        # U+2028, \x85 and \x1c end a line for str.splitlines, not for the daemon.
+        log = tmp_path / "auth.log"
+        line = ("Feb 12 15:23:01 host1 sshd[1]: Failed password for root "
+                "from 192.168.1.12 port 22 ssh2")
+        for sep in ("\u2028", "\x85", "\x1c"):
+            log.write_bytes((line + sep + "tail\n").encode())
+            code, out = _run(capsys, "parse", str(log), "--year", "2025")
+            assert code == EXIT_OK
+            assert json.loads(out)["records"] == 0
+        log.write_bytes(line.encode())  # an unterminated last line still counts
+        assert json.loads(_run(capsys, "parse", str(log), "--year", "2025")[1])["records"] == 1
 
 
 class TestGenTrainValidate:
@@ -128,3 +156,44 @@ class TestRun:
     def test_unreadable_config_path(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.conf")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("sig, inherited", [
+        (signal.SIGTERM, signal.SIG_DFL),
+        # A shell that starts a job in the background leaves SIGINT ignored.
+        (signal.SIGINT, signal.SIG_IGN),
+    ], ids=["SIGTERM", "SIGINT-ignored-by-parent"])
+    def test_signal_stops_gracefully(self, tmp_path, sig, inherited):
+        log = tmp_path / "auth.log"
+        log.write_text("".join(
+            f"Feb 12 15:23:{i:02d} host1 sshd[1]: Failed password for root "
+            f"from 192.168.1.12 port 5{i:04d} ssh2\n" for i in range(6)))
+        sink = tmp_path / "alerts.ndjson"
+        conf = tmp_path / "agent.conf"
+        conf.write_text(f"ssh.source = {log}\nssh.year = 2025\nssh.poll_secs = 0.05\n"
+                        f"sink.file = {sink}\netd.model_dir = {tmp_path / 'models'}\n"
+                        f"dead_letter = {tmp_path / 'dead.ndjson'}\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sentinel.cli", "run", "--config", str(conf)],
+            cwd=str(tmp_path), env=_python_env(), stderr=subprocess.DEVNULL,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, inherited))
+        try:
+            deadline = time.monotonic() + 20
+            while not (sink.exists() and sink.read_text().strip()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(sig)
+            assert proc.wait(timeout=10) == EXIT_OK
+        finally:
+            proc.kill()
+            proc.wait()
+        events = [json.loads(line) for line in sink.read_text().splitlines()]
+        assert [e["event_type"] for e in events] == ["BruteForce"]
+
+
+def test_daemon_imports_only_what_it_runs():
+    code = ("import json, sys, sentinel.cli, sentinel.agent; "
+            "print(json.dumps([m for m in ('scipy', 'requests', 'sentinel.harness') "
+            "if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], env=_python_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(out.stdout) == []

@@ -1,12 +1,15 @@
+import math
+import statistics
+
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from oracles import gauss_jordan_inverse, two_pass_covariance
 from sentinel.etd.gaussian import (
     GaussianModel,
     TrainingError,
     calibrate_tau,
+    chi2_quantile,
     fit_gaussian,
     mahalanobis_score,
     mahalanobis_scores,
@@ -108,6 +111,29 @@ class TestScore:
         assert np.max(np.abs(s1 - s2)) < 1e-6
 
 
+QUANTILES = [0.5, 0.6, 0.75, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999, 0.9999]
+
+
+class TestChi2Quantile:
+    """Checked against closed forms of the chi-squared distribution."""
+
+    @pytest.mark.parametrize("q", QUANTILES)
+    def test_df2_is_exponential(self, q):
+        assert chi2_quantile(q, 2) == pytest.approx(-2.0 * math.log(1.0 - q), rel=1e-12)
+
+    @pytest.mark.parametrize("q", QUANTILES)
+    def test_df1_is_squared_normal(self, q):
+        z = statistics.NormalDist().inv_cdf((1.0 + q) / 2.0)
+        assert chi2_quantile(q, 1) == pytest.approx(z * z, rel=1e-12)
+
+    @pytest.mark.parametrize("df", range(2, 21, 2))
+    def test_even_df_erlang_cdf_reaches_q(self, df):
+        for q in QUANTILES:
+            x = chi2_quantile(q, df)
+            tail = sum((x / 2.0) ** j / math.factorial(j) for j in range(df // 2))
+            assert 1.0 - math.exp(-x / 2.0) * tail == pytest.approx(q, rel=1e-12)
+
+
 class TestCalibrateTau:
     def test_chi2_closed_form_d2(self):
         # for d=2 the chi-squared quantile is -2 ln(1-q)
@@ -127,7 +153,7 @@ class TestCalibrateTau:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((50, 2)) * 0.1
         stats, model = fit_gaussian(X, ["a", "b"], q=0.9999)
-        assert model.tau == pytest.approx(chi2.ppf(0.9999, 2))
+        assert model.tau == pytest.approx(-2.0 * math.log(1e-4))
 
     def test_invalid_quantile(self):
         X, (stats, model) = _fit()

@@ -150,6 +150,13 @@ class TestBlacklist:
         verdict, event = evaluate_url("http://evil.example./a", blacklist=bl)
         assert verdict.score == 100 and event is not None
 
+    def test_fully_qualified_entry_listed(self):
+        bl = Blacklist(["evil.example.", "Bad.Example. "])
+        for url in ("http://evil.example/a", "http://evil.example./a", "http://x.bad.example/"):
+            verdict, event = evaluate_url(url, blacklist=bl)
+            assert verdict.score == 100 and event is not None
+        assert len(bl) == 2 and "evil.example" in bl
+
     def test_load_file_with_comments(self, tmp_path):
         path = tmp_path / "bl.txt"
         path.write_text("# header\nbad.com\n\nworse.com  # inline\n")

@@ -417,6 +417,31 @@ class TestAgent:
         assert [e["url"] for e in self._alerts(tmp_path, "PhishingAlert")] == urls
         assert len(agent._restart_log) == 1
 
+    def test_url_feed_line_that_always_fails_is_dead_lettered(self, tmp_path):
+        from sentinel.agent import URL_LINE_ATTEMPTS, Agent
+
+        urls = ["http://always-fails.example/", "http://secure-updates-login.com"]
+        feed = tmp_path / "urls.ndjson"
+        feed.write_text("".join(json.dumps({"url": url}) + "\n" for url in urls))
+        cfg = _agent_config(tmp_path)
+        cfg.url_feed = str(feed)
+        agent = Agent(cfg)
+        evaluate = agent.url_evaluator.evaluate
+
+        def broken(url, now=None):
+            if url == urls[0]:
+                raise RuntimeError("injected fault")
+            return evaluate(url, now=now)
+
+        agent.url_evaluator.evaluate = broken
+        agent.start()
+        assert _wait_for(lambda: self._alerts(tmp_path, "PhishingAlert"))
+        agent.stop()
+        assert [e["url"] for e in self._alerts(tmp_path, "PhishingAlert")] == [urls[1]]
+        dead = [json.loads(l) for l in (tmp_path / "dead.ndjson").read_text().splitlines()]
+        assert dead == [{"reason": "RuntimeError", "event": json.dumps({"url": urls[0]})}]
+        assert len(agent._restart_log) == URL_LINE_ATTEMPTS - 1
+
 
 class TestConfig:
     def test_flat_file_parse(self):
@@ -454,6 +479,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=entry):
             AgentConfig.from_values({"sink.stdout": "true",
                                      "ssh.whitelist": f"10.0.0.1, {entry}"})
+
+    @pytest.mark.parametrize("spec", ["0 0 31 2 *", "0 0 30 2 *", "0 0 31 4 *"])
+    def test_schedule_that_never_fires_rejected(self, spec):
+        with pytest.raises(ConfigError, match="never fires"):
+            AgentConfig.from_values({"sink.stdout": "true", "etd.schedule": spec})
+
+    def test_leap_day_schedule_loads(self):
+        cfg = AgentConfig.from_values({"sink.stdout": "true", "etd.schedule": "0 0 29 2 *"})
+        assert cfg.retrain.schedule == "0 0 29 2 *"
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(Exception):
