@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -46,38 +45,6 @@ def avg_path_length(n: int) -> float:
 _WALK_ROWS = 256
 
 
-class _TreeLists:
-    """One tree's nodes as parallel lists, appended depth first with the
-    left subtree before the right.  Both children of a new node point to
-    itself; a split's caller then sets them."""
-
-    def __init__(self):
-        self.feature: List[int] = []
-        self.threshold: List[float] = []
-        self.left: List[int] = []
-        self.right: List[int] = []
-        self.size: List[int] = []
-        self.leaf_value: List[float] = []
-        self.depth = 0  # largest leaf depth
-
-    def _add(self, feature: int, threshold: float, size: int, leaf_value: float) -> int:
-        node = len(self.feature)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(node)
-        self.right.append(node)
-        self.size.append(size)
-        self.leaf_value.append(leaf_value)
-        return node
-
-    def leaf(self, depth: int, size: int) -> int:
-        self.depth = max(self.depth, depth)
-        return self._add(0, 0.0, size, depth + avg_path_length(size))
-
-    def split(self, feature: int, threshold: float) -> int:
-        return self._add(feature, threshold, 0, 0.0)
-
-
 @dataclass
 class IsolationForestModel:
     """The trees stacked into one padded node table.
@@ -105,27 +72,36 @@ class IsolationForestModel:
     dim: int
 
     @classmethod
-    def from_trees(cls, trees: List[_TreeLists], **meta) -> "IsolationForestModel":
-        if not trees:
+    def from_nodes(cls, tree_count: int, stride: int, splits, leaves, **meta) -> "IsolationForestModel":
+        """The padded table of ``tree_count`` trees of at most ``stride`` nodes.
+
+        ``splits`` holds ``(tree, slot, feature, threshold, left)`` and
+        ``leaves`` ``(tree, slot, size, depth)`` tuples of parallel arrays
+        (``tree`` and ``depth`` may each be one number), where ``slot``
+        counts from a tree's root, 0.  A split's children take slots
+        ``left`` and ``left + 1`` of its tree; a leaf's value is
+        depth + c(size).
+        """
+        if tree_count < 1:
             raise ValueError("an isolation forest needs at least one tree")
-        stride = max(len(tree.feature) for tree in trees)
-        slots = np.arange(len(trees) * stride)
-        table = {
-            "feature": np.zeros(slots.size, dtype=np.intp),
-            "threshold": np.zeros(slots.size),
-            "children": np.repeat(slots[:, None], 2, axis=1),
-            "size": np.zeros(slots.size, dtype=np.intp),
-            "leaf_value": np.zeros(slots.size),
-        }
-        for t, tree in enumerate(trees):
-            base = t * stride
-            used = slice(base, base + len(tree.feature))
-            for name in ("feature", "threshold", "size", "leaf_value"):
-                table[name][used] = getattr(tree, name)
-            table["children"][used, 0] = np.add(tree.left, base)
-            table["children"][used, 1] = np.add(tree.right, base)
-        depth = max(tree.depth for tree in trees)
-        return cls(stride=stride, depth=depth, **table, **meta)
+        total = tree_count * stride
+        feature, size = np.zeros(total, dtype=np.intp), np.zeros(total, dtype=np.intp)
+        threshold, leaf_value = np.zeros(total), np.zeros(total)
+        children = np.arange(2 * total).reshape(total, 2)
+        children //= 2  # every slot its own child until a split sets them
+        for tree, slot, split_feature, split_value, left in splits:
+            base = tree * stride
+            at = base + slot
+            feature[at], threshold[at] = split_feature, split_value
+            children[at, 0] = base + left
+            children[at, 1] = base + left + 1
+        for tree, slot, leaf_size, depth in leaves:
+            at = tree * stride + slot
+            sizes, which = np.unique(leaf_size, return_inverse=True)
+            size[at] = leaf_size
+            leaf_value[at] = depth + np.array([avg_path_length(int(n)) for n in sizes])[which]
+        return cls(feature=feature, threshold=threshold, children=children, size=size,
+                   leaf_value=leaf_value, stride=stride, tree_count=tree_count, **meta)
 
     @property
     def roots(self) -> np.ndarray:
@@ -162,44 +138,44 @@ class IsolationForestModel:
 
     @classmethod
     def from_obj(cls, obj) -> "IsolationForestModel":
-        def unnest(tree, node, depth):
-            if "n" in node:
-                return tree.leaf(depth, int(node["n"]))
-            index = tree.split(int(node["f"]), float(node["v"]))
-            tree.left[index] = unnest(tree, node["l"], depth + 1)
-            tree.right[index] = unnest(tree, node["r"], depth + 1)
-            return index
-
-        trees = []
+        # Each tree's nodes as flat lists of numbers: three integers and a
+        # threshold per split, three integers per leaf.  They become arrays
+        # one tree at a time as the table fills; holding every tree's
+        # arrays until then left a daemon about 0.15 MB larger.
+        trees, stride, depth = [], 1, 0
         for root in obj["trees"]:
-            trees.append(_TreeLists())
-            unnest(trees[-1], root, 0)
-        return cls.from_trees(
-            trees,
+            # Level by level, as ``build_iforest`` numbers the slots.
+            split, threshold, leaf = [], [], []
+            level, level_depth, start = [root], 0, 0
+            while level:
+                below = []
+                for slot, node in enumerate(level, start):
+                    if "n" in node:
+                        leaf += (slot, node["n"], level_depth)
+                    else:
+                        split += (slot, node["f"], start + len(level) + len(below))
+                        threshold.append(node["v"])
+                        below += (node["l"], node["r"])
+                start += len(level)
+                level, level_depth = below, level_depth + 1
+            trees.append((split, threshold, leaf))
+            stride, depth = max(stride, start), max(depth, level_depth - 1)
+
+        def splits():
+            for tree, (split, threshold, _) in enumerate(trees):
+                slot, feature, left = np.array(split, dtype=np.intp).reshape(-1, 3).T
+                yield tree, slot, feature, np.array(threshold, dtype=float), left
+
+        leaves = ((tree, *np.array(leaf, dtype=np.intp).reshape(-1, 3).T)
+                  for tree, (_, _, leaf) in enumerate(trees))
+        return cls.from_nodes(
+            len(trees), stride, splits(), leaves,
+            depth=depth,
             subsample=int(obj["subsample"]),
-            tree_count=int(obj["tree_count"]),
             c_psi=float(obj["c_psi"]),
             seed=int(obj["seed"]),
             dim=int(obj["dim"]),
         )
-
-
-def _grow(tree: _TreeLists, X: np.ndarray, rng: np.random.Generator, depth: int, cap: int) -> int:
-    n = X.shape[0]
-    if n <= 1 or depth >= cap:
-        return tree.leaf(depth, n)
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    splittable = np.nonzero(hi > lo)[0]
-    if splittable.size == 0:  # all points identical
-        return tree.leaf(depth, n)
-    feat = int(rng.choice(splittable))
-    value = float(rng.uniform(lo[feat], hi[feat]))
-    mask = X[:, feat] < value
-    node = tree.split(feat, value)
-    tree.left[node] = _grow(tree, X[mask], rng, depth + 1, cap)
-    tree.right[node] = _grow(tree, X[~mask], rng, depth + 1, cap)
-    return node
 
 
 def build_iforest(
@@ -208,26 +184,104 @@ def build_iforest(
     subsample: int = 256,
     seed: int = 0,
 ) -> IsolationForestModel:
-    """Build the forest; deterministic for a given seed."""
+    """Build the forest; deterministic for a given seed.
+
+    All trees grow together, one level per pass.  The sample rows of the
+    nodes still open lie in ``rows`` one node after another, so each
+    node's feature ranges are one ``reduceat`` over its segment, and a
+    stable sort by child moves every row to its child's segment.
+    Liu, Ting & Zhou (ICDM 2008) ask for uniformly random splits, not an
+    order of draws, so a level's features and thresholds are each one
+    vector draw.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least 2 rows to build an isolation forest")
     rng = np.random.default_rng(seed)
-    psi = min(subsample, X.shape[0])
+    n = X.shape[0]
+    psi = min(subsample, n)
     cap = math.ceil(math.log2(psi)) if psi > 1 else 1
-    trees = []
-    for _ in range(tree_count):
-        if X.shape[0] > psi:
-            idx = rng.choice(X.shape[0], size=psi, replace=False)
-            sample = X[idx]
-        else:
-            sample = X
-        trees.append(_TreeLists())
-        _grow(trees[-1], sample, rng, 0, cap)
-    return IsolationForestModel.from_trees(
-        trees, subsample=psi, tree_count=tree_count,
-        c_psi=avg_path_length(psi), seed=seed, dim=X.shape[1],
+
+    # Every tree's subsample first, in tree order.  Row, tree and slot
+    # numbers fit in 32 bits, which halves the arrays the build holds.
+    rows = np.empty((tree_count, psi), dtype=np.int32)
+    for sample in rows:
+        sample[:] = rng.choice(n, size=psi, replace=False) if n > psi else np.arange(n)
+    rows = rows.ravel()
+    # The open nodes of the level: tree, slot in the tree, and row count.
+    tree, slot = np.arange(tree_count, dtype=np.int32), np.zeros(tree_count, dtype=np.int32)
+    size = np.full(tree_count, psi)
+    used = np.ones(tree_count, dtype=np.intp)  # slots taken in each tree
+    splits, leaves = [], []
+    depth = 0
+
+    def close(leaf):
+        """Make the open nodes in ``leaf`` leaves, and drop their rows."""
+        nonlocal rows, tree, slot, size
+        keep = ~leaf
+        if leaf.any():
+            leaves.append((tree[leaf], slot[leaf], size[leaf], depth))
+            rows = rows[np.repeat(keep, size)]
+            tree, slot, size = tree[keep], slot[keep], size[keep]
+        return keep
+
+    while True:
+        close((size < 2) | (depth >= cap))
+        if not size.size:
+            break
+        lo, hi = _ranges(X, rows, size)
+        splittable = hi > lo
+        keep = close(~splittable.any(axis=1))  # all rows equal
+        if not size.size:
+            break
+        splittable, lo, hi = splittable[keep], lo[keep], hi[keep]
+        # A uniform pick among each node's splittable features, then a
+        # uniform threshold in that feature's range.
+        pick = rng.integers(splittable.sum(axis=1))
+        feature = (np.cumsum(splittable, axis=1) > pick[:, None]).argmax(axis=1).astype(np.int32)
+        nodes = np.arange(size.size)
+        threshold = rng.uniform(lo[nodes, feature], hi[nodes, feature])
+        rows, child_size = _partition(X, rows, size, feature, threshold)
+        # The children take the next two free slots of their tree.
+        left = (used[tree] + 2 * (nodes - np.searchsorted(tree, tree))).astype(np.int32)
+        used += 2 * np.bincount(tree, minlength=tree_count)
+        splits.append((tree, slot, feature, threshold, left))
+        tree = np.repeat(tree, 2)
+        slot = np.stack([left, left + 1], axis=1).ravel()
+        size = child_size
+        depth += 1
+    return IsolationForestModel.from_nodes(
+        tree_count, int(used.max(initial=1)), splits, leaves, depth=depth,
+        subsample=psi, c_psi=avg_path_length(psi), seed=seed, dim=X.shape[1],
     )
+
+
+def _ranges(X: np.ndarray, rows: np.ndarray, size: np.ndarray):
+    """Least and greatest value of each feature over each node's rows.
+
+    ``rows`` holds the rows of node 0, then those of node 1, and so on,
+    and nothing else: ``reduceat`` runs each segment up to the next
+    start, and the last one to the end of ``rows``.
+    """
+    starts = np.cumsum(size) - size
+    lo, hi = np.empty((2, size.size, X.shape[1]))
+    for f, column in enumerate(X.T):  # a column at a time keeps the gather small
+        values = column[rows]
+        lo[:, f], hi[:, f] = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+    return lo, hi
+
+
+def _partition(X: np.ndarray, rows: np.ndarray, size: np.ndarray,
+               feature: np.ndarray, threshold: np.ndarray):
+    """Move each node's rows, in order, to its children's segments.
+
+    Node j's rows below its threshold go to child 2j, the others to
+    child 2j + 1.  Returns the moved rows and the children's sizes.
+    """
+    node = np.repeat(np.arange(size.size, dtype=np.int32), size)
+    child = 2 * node + ~(X[rows, feature[node]] < threshold[node])
+    del node  # before the sort's arrays: the build's peak memory is at this level
+    return rows[np.argsort(child, kind="stable")], np.bincount(child, minlength=2 * size.size)
 
 
 def iforest_scores(model: IsolationForestModel, Z: np.ndarray) -> np.ndarray:

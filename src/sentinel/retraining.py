@@ -230,8 +230,9 @@ class ScheduleSpec:
             if not lo <= number <= hi:
                 raise ScheduleError(f"cron field {value!r} out of range [{lo},{hi}]")
             parsed.append(number)
-        _, _, dom, month, _ = parsed
-        if dom is not None and month is not None and dom > _LONGEST_MONTH[month - 1]:
+        _, _, dom, month, dow = parsed
+        # With a day of week too, cron fires on that weekday instead.
+        if dow is None and dom is not None and month is not None and dom > _LONGEST_MONTH[month - 1]:
             raise ScheduleError(f"cron spec never fires, month {month} has no day {dom}: {text!r}")
         return cls(cron_fields=tuple(parsed))
 
@@ -241,16 +242,26 @@ class ScheduleSpec:
         minute, hour, dom, month, dow = self.cron_fields
         # cron day-of-week counts 0=Sunday; datetime.weekday() counts 0=Monday
         weekday = None if dow is None else (dow - 1) % 7
+
+        def day_matches(dt):
+            if month is not None and dt.month != month:
+                return False
+            if dom is None or weekday is None:
+                return (dom is None or dt.day == dom) and (weekday is None or dt.weekday() == weekday)
+            return dt.day == dom or dt.weekday() == weekday  # cron: both restricted, either fires
+
         dt = after.instant.replace(second=0) + timedelta(minutes=1)
-        # Minute-resolution scan is fine: the horizon is at most ~4 years.
-        for _ in range(366 * 4 * 24 * 60):
-            if ((minute is None or dt.minute == minute)
-                    and (hour is None or dt.hour == hour)
-                    and (dom is None or dt.day == dom)
-                    and (month is None or dt.month == month)
-                    and (weekday is None or dt.weekday() == weekday)):
+        horizon = dt + timedelta(days=366 * 4)
+        # Skip a day, then an hour, that cannot match: a few thousand steps.
+        while dt < horizon:
+            if not day_matches(dt):
+                dt = dt.replace(hour=0, minute=0) + timedelta(days=1)
+            elif hour is not None and dt.hour != hour:
+                dt = dt.replace(minute=0) + timedelta(hours=1)
+            elif minute is not None and dt.minute != minute:
+                dt += timedelta(minutes=1)
+            else:
                 return Timestamp(dt)
-            dt += timedelta(minutes=1)
         raise ScheduleError("cron spec never fires")
 
 

@@ -282,9 +282,7 @@ class TailSource:
 
     def _poll_command(self) -> List[str]:
         try:
-            out = subprocess.run(
-                self.command, shell=True, capture_output=True, text=True, timeout=30
-            )
+            out = subprocess.run(self.command, shell=True, capture_output=True, timeout=30)
         except (OSError, subprocess.TimeoutExpired) as exc:
             log.warning("log command failed: %s", exc)
             self.healthy = False
@@ -293,4 +291,7 @@ class TailSource:
             self.healthy = False
             return []
         self.healthy = True
-        return out.stdout.splitlines()
+        # Lines end only at "\n", as in a file (see _poll_file); the
+        # output is complete, so an unterminated last line counts.
+        lines = out.stdout.decode("utf-8", errors="replace").split("\n")
+        return lines[:-1] if lines[-1] == "" else lines

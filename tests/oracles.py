@@ -147,3 +147,44 @@ def artifact_score_oracle(payload, values):
     elif iforest > payload["iforest_threshold"]:
         detector = "isolation_forest"
     return mahal, iforest, detector is not None, detector
+
+
+def iforest_tree_violations(tree, rows, cap):
+    """Recount one nested ``{"f","v","l","r"}`` / ``{"n"}`` isolation tree
+    against the sample rows it was built from, node by node.
+
+    Sends every row down the tree by hand and returns a list of what is
+    wrong (empty if nothing is):
+    - a leaf's ``n`` differs from the number of rows that reach it, or
+      the leaves' sizes do not sum to the number of rows;
+    - a split's feature is constant over the rows that reach it, or its
+      value lies outside their range;
+    - a leaf above depth ``cap`` holds rows that differ (it could split);
+    - a node lies deeper than ``cap``.
+    """
+    problems, leaf_total = [], 0
+
+    def walk(node, members, depth, path):
+        nonlocal leaf_total
+        if depth > cap:
+            problems.append(f"{path}: depth {depth} > cap {cap}")
+        if "n" in node:
+            leaf_total += node["n"]
+            if node["n"] != len(members):
+                problems.append(f"{path}: leaf size {node['n']}, {len(members)} rows reach it")
+            if depth < cap and any(row != members[0] for row in members):
+                problems.append(f"{path}: leaf at depth {depth} holds rows that differ")
+            return
+        feature, value = node["f"], node["v"]
+        column = [row[feature] for row in members]
+        if len(set(column)) < 2:
+            problems.append(f"{path}: split on feature {feature}, constant over {len(members)} rows")
+        elif not min(column) <= value <= max(column):
+            problems.append(f"{path}: threshold {value} outside [{min(column)}, {max(column)}]")
+        walk(node["l"], [row for row in members if row[feature] < value], depth + 1, path + "l")
+        walk(node["r"], [row for row in members if not row[feature] < value], depth + 1, path + "r")
+
+    walk(tree, [tuple(float(v) for v in row) for row in rows], 0, "root ")
+    if leaf_total != len(rows):
+        problems.append(f"leaf sizes sum to {leaf_total}, not {len(rows)}")
+    return problems

@@ -23,6 +23,7 @@ from sentinel.harness import Scenario, gen_etd_stream, gen_normal_rows
 from sentinel.retraining import load_artifact
 
 STORED_ARTIFACT = Path(__file__).parent / "data" / "etd_model_nested.json"
+LEVELWISE_ARTIFACT = Path(__file__).parent / "data" / "etd_model_levelwise.json"
 FAR_OFF = FeatureRow(hour=23, ip_numeric=4.0e9, status=0, failed_attempts=50,
                      freq=40, geo_distance=9000)
 
@@ -209,7 +210,10 @@ class TestStoredArtifact:
         _assert_matches_oracle(artifact, _mixed_rows(300, seed=2))
 
     def test_fixed_seed_training_reproduces_it(self):
-        # Same RNG call order, same trees, same content hash.
+        # This call wrote data/etd_model_levelwise.json; the same seed must
+        # give the same trees and content hash, byte for byte.  (The nested
+        # file above pins the payload format, not the order of the draws.)
         artifact = train_model(gen_normal_rows(64, seed=1), tree_count=3, seed=0,
                                trained_at=Timestamp.parse("2025-02-01T00:00:00Z"))
-        assert artifact.version == json.loads(STORED_ARTIFACT.read_text())["version"]
+        assert json.dumps(artifact.to_payload()) == LEVELWISE_ARTIFACT.read_text()
+        assert load_artifact(LEVELWISE_ARTIFACT).version == artifact.version  # hash checks

@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import iforest_tree_violations
 from sentinel.etd.iforest import (
     IsolationForestModel,
     avg_path_length,
@@ -74,6 +78,63 @@ class TestBuild:
         back = IsolationForestModel.from_obj(json.loads(json.dumps(model.to_obj())))
         for x in np.random.default_rng(4).standard_normal((20, 4)):
             assert iforest_score(back, x) == iforest_score(model, x)
+
+
+PSI = 16
+
+
+@st.composite
+def build_inputs(draw):
+    """Rows for a forest of subsample ``PSI``: few, or about ``PSI``, with
+    float, constant and heavily tied integer columns, or all rows equal."""
+    n = draw(st.sampled_from([2, 3, PSI - 1, PSI, PSI + 1]))
+    # Multiples of 1/64 keep max - min exact, so a uniform threshold
+    # cannot round past the range.
+    kinds = {
+        "float": st.integers(-64000, 64000).map(lambda k: k / 64),
+        "ties": st.integers(0, 2).map(float),
+    }
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "ties", "constant"]), min_size=1, max_size=4)):
+        if kind == "constant":
+            columns.append([draw(kinds["float"])] * n)
+        else:
+            columns.append(draw(st.lists(kinds[kind], min_size=n, max_size=n)))
+    X = np.array(columns).T
+    if draw(st.integers(0, 3)) == 0:
+        X = np.repeat(X[:1], n, axis=0)  # all rows identical
+    return X, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestBuildStructure:
+    """Every tree recounted against the rows it was built from
+    (``oracles.iforest_tree_violations``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(build_inputs())
+    def test_every_tree_recounts(self, case):
+        X, tree_count, seed = case
+        model = build_iforest(X, tree_count=tree_count, subsample=PSI, seed=seed)
+        n = X.shape[0]
+        if n > PSI:
+            # build_iforest draws every tree's subsample first, in tree order.
+            rng = np.random.default_rng(seed)
+            samples = [X[rng.choice(n, size=PSI, replace=False)] for _ in range(tree_count)]
+        else:
+            samples = [X] * tree_count
+        cap = math.ceil(math.log2(min(n, PSI)))
+        trees = model.to_obj()["trees"]
+        assert len(trees) == tree_count
+        for tree, rows in zip(trees, samples):
+            assert iforest_tree_violations(tree, rows, cap) == []
+
+    def test_loading_rebuilds_the_same_table(self):
+        X = np.random.default_rng(8).standard_normal((600, 4))
+        model = build_iforest(X, tree_count=12, seed=5)
+        back = IsolationForestModel.from_obj(json.loads(json.dumps(model.to_obj())))
+        for name in ("feature", "threshold", "children", "size", "leaf_value"):
+            assert np.array_equal(getattr(back, name), getattr(model, name)), name
+        assert (back.stride, back.depth) == (model.stride, model.depth)
 
 
 class TestScore:

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 
@@ -188,6 +189,23 @@ class TestSchedule:
     def test_malformed_spec_rejected(self, spec):
         with pytest.raises(ScheduleError):
             ScheduleSpec.parse(spec)
+
+    def test_both_day_fields_restricted_fire_on_either(self):
+        # cron's rule: with day of month and day of week both restricted,
+        # a day that matches either one fires.
+        spec = ScheduleSpec.parse("0 12 1 * 5")  # the 1st, or a Friday
+        fired, t = [], Timestamp.parse("2025-08-25T00:00:00Z")  # a Monday
+        for _ in range(4):
+            t = spec.next_fire(t)
+            fired.append(t.isoformat())
+        assert fired == ["2025-08-29T12:00:00Z", "2025-09-01T12:00:00Z",
+                         "2025-09-05T12:00:00Z", "2025-09-12T12:00:00Z"]
+
+    def test_leap_day_or_monday_fires_in_the_next_february(self):
+        start = time.process_time()
+        fire = ScheduleSpec.parse("0 0 29 2 1").next_fire(Timestamp.parse("2026-10-19T00:00:00Z"))
+        assert fire == Timestamp.parse("2027-02-01T00:00:00Z")  # a Monday in February
+        assert time.process_time() - start < 0.5
 
     def test_interval_parse_units(self):
         assert ScheduleSpec.parse("every 2h").interval_secs == 7200

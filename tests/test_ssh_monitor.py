@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 from pathlib import Path
 
 import pytest
@@ -312,3 +313,10 @@ class TestTailSource:
     def test_command_source(self):
         src = TailSource(command="printf 'x\\ny\\n'")
         assert src.poll() == ["x", "y"]
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x1c"])
+    def test_command_source_line_ends_only_at_newline(self, sep):
+        # A username the attacker chooses must not forge a line break.
+        text = FAILED + sep + "tail"
+        src = TailSource(command="printf '%s\\n' " + shlex.quote(text))
+        assert src.poll() == [text]
