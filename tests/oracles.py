@@ -3,6 +3,7 @@ production code paths.  These deliberately use the most direct method
 available (full recounts, explicit elimination, naive recursion, per-node
 tree walks) and share no code with the package."""
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -188,3 +189,26 @@ def iforest_tree_violations(tree, rows, cap):
     if leaf_total != len(rows):
         problems.append(f"leaf sizes sum to {leaf_total}, not {len(rows)}")
     return problems
+
+
+def nested_forest_json(model):
+    """An isolation forest's artifact form, built as nested dicts by
+    recursing from each root over the model's node table and written by
+    ``json.dumps(sort_keys=True, separators=(",", ":"))``."""
+
+    def nest(node):
+        left, right = (int(child) for child in model.children[node])
+        if left == node:
+            return {"n": int(model.size[node])}
+        return {"f": int(model.feature[node]), "v": float(model.threshold[node]),
+                "l": nest(left), "r": nest(right)}
+
+    forest = {
+        "subsample": model.subsample,
+        "tree_count": model.tree_count,
+        "c_psi": model.c_psi,
+        "seed": model.seed,
+        "dim": model.dim,
+        "trees": [nest(root) for root in range(0, model.feature.size, model.stride)],
+    }
+    return json.dumps(forest, sort_keys=True, separators=(",", ":"))

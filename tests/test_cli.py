@@ -126,6 +126,14 @@ class TestGenTrainValidate:
         assert code == EXIT_RUNTIME
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("text", ["[]", '{"version": 5}'])
+    def test_validate_json_that_is_not_an_artifact(self, capsys, tmp_path, text):
+        path = tmp_path / "etd_model_x.json"
+        path.write_text(text)
+        code, out = _run(capsys, "validate", "--model", str(path))
+        assert code == EXIT_RUNTIME
+        assert json.loads(out)["ok"] is False
+
     def test_gen_urls_to_stdout(self, capsys):
         code, out = _run(capsys, "gen", "urls", "-n", "20")
         assert code == EXIT_OK

@@ -12,6 +12,7 @@ from oracles import artifact_score_oracle
 from sentinel.etd.detector import (
     ModelArtifact,
     ScoringError,
+    content_hash,
     detect_batch,
     score_batch,
     score_event,
@@ -104,7 +105,7 @@ class TestDetectStream:
 
 class TestArtifactPayload:
     def test_roundtrip_scores_bit_equal(self, artifact):
-        back = ModelArtifact.from_payload(artifact.to_payload())
+        back = ModelArtifact.from_payload({"version": artifact.version, **json.loads(artifact.body)})
         rows, _ = gen_etd_stream(Scenario(seed=5, n_rows=100, anomaly_rate=0.1))
         for row in rows:
             a = score_event(artifact, row)
@@ -131,7 +132,7 @@ def _same(a, b):
 
 
 def _assert_matches_oracle(artifact, rows):
-    payload = artifact.to_payload()
+    payload = json.loads(artifact.body)
     batch = score_batch(artifact, rows)
     assert len(batch) == len(rows)
     for row, got in zip(rows, batch):
@@ -191,9 +192,17 @@ class TestScoreBatch:
             score_batch(artifact, rows[:5] + [FeatureRow(1, 2, 3, 4, 5, 6)])
 
 
+def _committed(path):
+    """A committed artifact's version, and the rest as canonical JSON."""
+    payload = json.loads(path.read_text())
+    version = payload.pop("version")
+    return version, json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 class TestStoredArtifact:
     """``data/etd_model_nested.json`` was written by the node-object forest
-    that the flat node table replaced, as ``json.dumps(a.to_payload())`` of
+    that the flat node table replaced, with ``json.dumps`` of the payload's
+    dict (unsorted keys, default separators), from
 
         train_model(gen_normal_rows(64, seed=1), tree_count=3, seed=0,
                     trained_at=Timestamp.parse("2025-02-01T00:00:00Z"))
@@ -201,12 +210,14 @@ class TestStoredArtifact:
 
     def test_loads_verifies_and_round_trips_byte_for_byte(self):
         artifact = load_artifact(STORED_ARTIFACT)  # checks the content hash
-        assert json.dumps(artifact.to_payload()) == STORED_ARTIFACT.read_text()
+        version, body = _committed(STORED_ARTIFACT)
+        assert artifact.body == body
+        assert artifact.version == version
+        assert content_hash(artifact.body) == version.split("-")[0]
 
     def test_scores_match_oracle(self):
         artifact = load_artifact(STORED_ARTIFACT)
-        payload = json.loads(STORED_ARTIFACT.read_text())
-        assert artifact.to_payload() == payload
+        assert (artifact.version, artifact.body) == _committed(STORED_ARTIFACT)
         _assert_matches_oracle(artifact, _mixed_rows(300, seed=2))
 
     def test_fixed_seed_training_reproduces_it(self):
@@ -215,5 +226,5 @@ class TestStoredArtifact:
         # file above pins the payload format, not the order of the draws.)
         artifact = train_model(gen_normal_rows(64, seed=1), tree_count=3, seed=0,
                                trained_at=Timestamp.parse("2025-02-01T00:00:00Z"))
-        assert json.dumps(artifact.to_payload()) == LEVELWISE_ARTIFACT.read_text()
+        assert (artifact.version, artifact.body) == _committed(LEVELWISE_ARTIFACT)
         assert load_artifact(LEVELWISE_ARTIFACT).version == artifact.version  # hash checks

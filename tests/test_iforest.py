@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import iforest_tree_violations
+from oracles import iforest_tree_violations, nested_forest_json
 from sentinel.etd.iforest import (
     IsolationForestModel,
     avg_path_length,
@@ -39,14 +39,14 @@ class TestBuild:
         X = rng.standard_normal((500, 4))
         a = build_iforest(X, tree_count=20, seed=42)
         b = build_iforest(X, tree_count=20, seed=42)
-        assert json.dumps(a.to_obj()) == json.dumps(b.to_obj())
+        assert a.to_json() == b.to_json()
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((500, 4))
         a = build_iforest(X, tree_count=20, seed=1)
         b = build_iforest(X, tree_count=20, seed=2)
-        assert json.dumps(a.to_obj()) != json.dumps(b.to_obj())
+        assert a.to_json() != b.to_json()
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
@@ -75,7 +75,7 @@ class TestBuild:
     def test_serialization_roundtrip(self):
         X = np.random.default_rng(2).standard_normal((300, 4))
         model = build_iforest(X, tree_count=15, seed=3)
-        back = IsolationForestModel.from_obj(json.loads(json.dumps(model.to_obj())))
+        back = IsolationForestModel.from_obj(json.loads(model.to_json()))
         for x in np.random.default_rng(4).standard_normal((20, 4)):
             assert iforest_score(back, x) == iforest_score(model, x)
 
@@ -123,7 +123,7 @@ class TestBuildStructure:
         else:
             samples = [X] * tree_count
         cap = math.ceil(math.log2(min(n, PSI)))
-        trees = model.to_obj()["trees"]
+        trees = json.loads(model.to_json())["trees"]
         assert len(trees) == tree_count
         for tree, rows in zip(trees, samples):
             assert iforest_tree_violations(tree, rows, cap) == []
@@ -131,10 +131,54 @@ class TestBuildStructure:
     def test_loading_rebuilds_the_same_table(self):
         X = np.random.default_rng(8).standard_normal((600, 4))
         model = build_iforest(X, tree_count=12, seed=5)
-        back = IsolationForestModel.from_obj(json.loads(json.dumps(model.to_obj())))
+        back = IsolationForestModel.from_obj(json.loads(model.to_json()))
         for name in ("feature", "threshold", "children", "size", "leaf_value"):
             assert np.array_equal(getattr(back, name), getattr(model, name)), name
         assert (back.stride, back.depth) == (model.stride, model.depth)
+
+
+THRESHOLDS = [-0.0, 5e-324, 1e300, 3.0, 1 / 3, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def node_tables(draw):
+    """A table from ``from_nodes``: small trees of any shape, grown by
+    splitting a drawn leaf, with thresholds that are hard to write."""
+    tree_count, dim, stride, depth = draw(st.integers(1, 3)), 3, 1, 0
+    splits, leaves = [], []
+    for tree in range(tree_count):
+        open_leaves, split, used = {0: 0}, [], 1  # leaf slot -> depth
+        for _ in range(draw(st.integers(0, 6))):
+            slot = draw(st.sampled_from(sorted(open_leaves)))
+            below = open_leaves.pop(slot) + 1
+            split.append((slot, draw(st.integers(0, dim - 1)), draw(st.sampled_from(THRESHOLDS)), used))
+            open_leaves.update({used: below, used + 1: below})
+            used += 2
+        if split:
+            slot, feature, threshold, left = (np.array(column) for column in zip(*split))
+            splits.append((tree, slot, feature, threshold.astype(float), left))
+        slot, at = (np.array(column) for column in zip(*open_leaves.items()))
+        leaves.append((tree, slot, np.array([draw(st.integers(0, 300)) for _ in slot]), at))
+        stride, depth = max(stride, used), max(depth, int(at.max()))
+    return IsolationForestModel.from_nodes(tree_count, stride, splits, leaves, depth=depth,
+                                           subsample=256, c_psi=avg_path_length(256),
+                                           seed=draw(st.integers(0, 9)), dim=dim)
+
+
+class TestRender:
+    """``to_json`` against ``oracles.nested_forest_json``, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(build_inputs())
+    def test_built_forests(self, case):
+        X, tree_count, seed = case
+        model = build_iforest(X, tree_count=tree_count, subsample=PSI, seed=seed)
+        assert model.to_json() == nested_forest_json(model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(node_tables())
+    def test_node_tables(self, model):
+        assert model.to_json() == nested_forest_json(model)
 
 
 class TestScore:

@@ -1,8 +1,13 @@
+import copy
+import functools
+import hashlib
 import json
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentinel.etd.detector import score_event, train_model
 from sentinel.etd.gaussian import TrainingError
@@ -76,6 +81,26 @@ class TestRetrain:
             retrain(rows, RetrainConfig(holdout_fraction=0.01))
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["n", "f", "v", "l", "r", "dim"]), inner, max_size=3)),
+    max_leaves=6)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_payload():
+    """A two-tree artifact's fields other than ``version``."""
+    artifact = train_model(gen_normal_rows(40, 8), tree_count=2, trained_at=T0)
+    return json.loads(artifact.body)
+
+
+def _digest(payload):
+    """The version's hash part for these fields, computed apart from the package."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class TestPersistence:
     def test_roundtrip_bit_equal_scores(self, tmp_path):
         artifact = train_model(gen_normal_rows(500, 6), trained_at=T0)
@@ -93,6 +118,56 @@ class TestPersistence:
         path.write_text(data)
         with pytest.raises(CorruptArtifactError):
             load_artifact(path)
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"etd"', '{"version": 5}', "{}"])
+    def test_json_that_is_not_an_artifact_rejected(self, tmp_path, text):
+        path = tmp_path / "etd_model_x.json"
+        path.write_text(text)
+        with pytest.raises(CorruptArtifactError):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: payload.pop("stats"),
+        lambda payload: payload.pop("gaussian"),
+        lambda payload: payload.pop("iforest"),
+        lambda payload: payload.pop("trained_at"),
+        lambda payload: payload.update(trained_at=5),
+        lambda payload: payload["iforest"].update(trees=[]),
+        lambda payload: payload["iforest"]["trees"].__setitem__(0, {"n": 2**70}),
+    ], ids=["no stats", "no gaussian", "no iforest", "no trained_at", "trained_at a number",
+            "no trees", "leaf size overflows"])
+    def test_hash_matching_payload_of_the_wrong_shape_rejected(self, tmp_path, edit):
+        payload = copy.deepcopy(_small_payload())
+        edit(payload)
+        path = tmp_path / "etd_model_x.json"
+        path.write_text(json.dumps({"version": f"{_digest(payload)}-0", **payload}))
+        with pytest.raises(CorruptArtifactError):
+            load_artifact(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_hash_matching_edit_loads_or_is_rejected(self, tmp_path_factory, data):
+        payload = copy.deepcopy(_small_payload())
+        fields = []  # (container, key) of every value in the payload
+
+        def collect(node):
+            for key in (sorted(node) if isinstance(node, dict) else range(len(node))):
+                fields.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    collect(node[key])
+
+        collect(payload)
+        node, key = data.draw(st.sampled_from(fields))
+        if data.draw(st.booleans()):
+            node[key] = data.draw(_JSON_VALUES)
+        else:
+            del node[key]
+        path = tmp_path_factory.mktemp("edit") / "etd_model_x.json"
+        path.write_text(json.dumps({"version": f"{_digest(payload)}-0", **payload}))
+        try:
+            load_artifact(path)
+        except CorruptArtifactError:
+            pass
 
     def test_current_points_at_newest(self, tmp_path):
         a = train_model(gen_normal_rows(200, 9), trained_at=T0)

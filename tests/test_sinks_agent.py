@@ -294,6 +294,37 @@ class TestAgent:
         assert agent.retrain_now(records[-1].timestamp)
         assert agent.registry.get().trained_at == records[-1].timestamp
 
+    def test_retrain_persists_the_body_its_version_hashes(self, tmp_path):
+        import dataclasses
+        import hashlib
+
+        from sentinel.agent import Agent
+        from sentinel.harness import Scenario, gen_ssh_logs
+        from sentinel.retraining import load_current, persist_artifact
+        from sentinel.ssh_monitor import parse_ssh_line
+
+        lines, _ = gen_ssh_logs(Scenario(seed=3, duration_hours=10.0, normal_login_rate=60.0))
+        records = [parse_ssh_line(line, year=2025) for line in lines]
+        cfg = _agent_config(tmp_path)
+        cfg.retrain.max_holdout_flag_rate = 1.0
+        agent = Agent(cfg)
+        agent._score_records(records)
+        assert agent.retrain_now(records[-1].timestamp)
+        artifact = agent.registry.get()
+        models = tmp_path / "models"
+        text = (models / f"etd_model_{artifact.version}.json").read_text()
+        head = f'{{"version":"{artifact.version}",'
+        assert text.startswith(head)
+        body = "{" + text[len(head):]
+        assert hashlib.sha256(body.encode()).hexdigest()[:16] == artifact.version.split("-")[0]
+        assert load_current(models).version == artifact.version
+
+        # The retrain hashed, so cached, the body; a replaced field must show.
+        changed = dataclasses.replace(artifact, iforest_threshold=0.9)
+        written = persist_artifact(changed, tmp_path / "changed").read_text()
+        assert '"iforest_threshold":0.9,' in written
+        assert json.loads(written)["iforest_threshold"] == 0.9
+
     def test_url_feed_flags_phishing(self, tmp_path):
         from sentinel.agent import Agent
 
