@@ -48,6 +48,8 @@ SCORE_SLICE = 256
 # A URL-feed line whose check raises this many times in a row is
 # dead-lettered, so that one bad line cannot stall the feed for good.
 URL_LINE_ATTEMPTS = 3
+# Seconds each monitor waits between polls of its source.
+POLL_SECS = 0.2
 
 
 class _Supervised(threading.Thread):
@@ -185,7 +187,7 @@ class Agent:
                     pending = []
             if pending:
                 self._score_records(pending)
-            self.stop_event.wait(min(self.cfg.ssh.poll_secs, 0.2))
+            self.stop_event.wait(POLL_SECS)
 
     def _score_records(self, records) -> None:
         """Buffer the records' feature rows for retraining and emit an
@@ -227,7 +229,7 @@ class Agent:
                     self.dead_letter.record(json.dumps(lines[0]), type(exc).__name__)
                 self._url_head_failures = 0
                 lines.popleft()
-            self.stop_event.wait(0.2)
+            self.stop_event.wait(POLL_SECS)
 
     def _check_url(self, line: str) -> None:
         line = line.strip()

@@ -186,7 +186,7 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     from . import harness
     report = harness.bench(args.target, args.count, seed=args.seed)
-    _emit({"target": args.target, "n": args.count, **report.to_dict()})
+    _emit({"target": args.target, "n": args.count, **report._asdict()})
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
 """Agent configuration: flat ``key = value`` file format.
 
-Lines starting with ``#`` are comments.  Every referenced file must
-exist at startup; a missing one is a named startup error.
+Lines starting with ``#`` are comments.  Every key is read once; an
+unknown or repeated key, a value that cannot work and a referenced file
+that does not exist are all named startup errors.  A key left out takes
+the default of the dataclass field it sets.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from .mitigation import DEFAULT_TEMPLATE, MitigationPolicy
+from .mitigation import MitigationPolicy
 from .phishing import DEFAULT_BRANDS, DEFAULT_KEYWORDS, HeuristicWeights
-from .retraining import RetrainConfig, ScheduleSpec
+from .retraining import RetrainConfig
 from .sinks import SinkConfig
 from .ssh_monitor import BruteForceConfig
 
@@ -25,7 +27,7 @@ class ConfigError(ValueError):
 
 
 def parse_flat_config(text: str) -> dict:
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -33,38 +35,43 @@ def parse_flat_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{key} is set twice, on line {lines[key]} and line {lineno}")
+        values[key], lines[key] = value.strip(), lineno
     return values
 
 
-def _get_float(values, key, default):
-    try:
-        return float(values.get(key, default))
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {values[key]!r}")
-
-
-def _get_int(values, key, default):
-    try:
-        return int(values.get(key, default))
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {values[key]!r}")
-
-
-def _get_bool(values, key, default):
-    raw = str(values.get(key, default)).strip().lower()
-    if raw in ("1", "true", "yes", "on"):
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes", "on"):
         return True
-    if raw in ("0", "false", "no", "off"):
+    if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _get_list(values, key, default):
-    raw = values.get(key)
-    if raw is None:
-        return list(default)
+def _list(raw: str) -> List[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
+
+
+def _centroid(raw: str) -> tuple:
+    lat, lon = map(float, raw.split(","))  # "lat, lon"; a wrong count is a ValueError
+    return (lat, lon)
+
+
+def _year(raw: str) -> Optional[int]:
+    year = int(raw)
+    if year == 0:
+        return None  # no year: a stamp takes the current one
+    if not 1 <= year <= 9999:
+        raise ValueError(f"expected 0 (no year) or 1-9999, got {year}")
+    return year
+
+
+def _given(**fields) -> dict:
+    """The fields a config file set; the rest keep their dataclass defaults."""
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 @dataclass
@@ -81,7 +88,10 @@ class EtdConfig:
     geo_table_path: Optional[str] = None
     centroid: tuple = (0.0, 0.0)
     freq_window_secs: float = 300.0
-    iforest_threshold: float = 0.7
+
+    def __post_init__(self):
+        if self.freq_window_secs <= 0:
+            raise ValueError("freq_window_secs must be > 0")
 
 
 @dataclass
@@ -98,89 +108,68 @@ class AgentConfig:
     url_feed: Optional[str] = None
     dead_letter_path: str = "dead_letter.ndjson"
 
+    def __post_init__(self):
+        if self.ssh_source_path and self.ssh_source_command:
+            raise ValueError("set ssh.source or ssh.source_command, not both")
+
     @classmethod
     def from_values(cls, values: dict) -> "AgentConfig":
-        try:
-            ssh = BruteForceConfig(
-                threshold=_get_int(values, "ssh.threshold", 5),
-                window_secs=_get_float(values, "ssh.window_secs", 300),
-                poll_secs=_get_float(values, "ssh.poll_secs", 60),
-                cooldown_secs=(
-                    _get_float(values, "ssh.cooldown_secs", 0)
-                    if "ssh.cooldown_secs" in values else None),
-                whitelist=set(_get_list(values, "ssh.whitelist", [])),
-            )
-            retrain = RetrainConfig(
-                window_days=_get_int(values, "etd.window_days", 30),
-                holdout_fraction=_get_float(values, "etd.holdout_fraction", 0.2),
-                quantile=_get_float(values, "etd.quantile", 0.99),
-                schedule=values.get("etd.schedule", "0 3 * * 1"),
-            )
-            ScheduleSpec.parse(retrain.schedule)  # fail fast on a bad spec
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        left = dict(values)
 
-        weights = HeuristicWeights()
-        if "phish.threshold" in values:
-            weights.flag_threshold = _get_int(values, "phish.threshold", 70)
-        phishing = PhishingConfig(
-            blacklist_path=values.get("phish.blacklist_path"),
-            weights=weights,
-            brands=_get_list(values, "phish.brands", DEFAULT_BRANDS),
-            keywords=_get_list(values, "phish.keywords", DEFAULT_KEYWORDS),
-        )
-
-        centroid_raw = _get_list(values, "etd.centroid", ["0", "0"])
-        if len(centroid_raw) != 2:
-            raise ConfigError("etd.centroid must be 'lat, lon'")
-        etd = EtdConfig(
-            model_dir=values.get("etd.model_dir", "models"),
-            geo_table_path=values.get("etd.geo_table"),
-            centroid=(float(centroid_raw[0]), float(centroid_raw[1])),
-            freq_window_secs=_get_float(values, "etd.freq_window_secs", 300),
-            iforest_threshold=_get_float(values, "etd.iforest_threshold", 0.7),
-        )
-
-        sinks: List[SinkConfig] = []
-        if _get_bool(values, "sink.stdout", False):
-            sinks.append(SinkConfig(kind="stdout"))
-        if "sink.file" in values:
-            sinks.append(SinkConfig(kind="file", target=values["sink.file"]))
-        if "sink.webhook" in values:
+        def take(key, convert=str):
+            raw = left.pop(key, None)
             try:
-                sinks.append(SinkConfig(
-                    kind="webhook",
-                    target=values["sink.webhook"],
-                    timeout_secs=_get_float(values, "sink.webhook.timeout_secs", 5),
-                    retry=_get_int(values, "sink.webhook.retry", 2),
-                ))
+                return None if raw is None else convert(raw)
             except ValueError as exc:
-                raise ConfigError(str(exc))
-        if not sinks:
+                raise ConfigError(f"{key}: {exc}")
+
+        try:
+            sinks = [SinkConfig(kind="stdout")] if take("sink.stdout", _bool) else []
+            if (target := take("sink.file")) is not None:
+                sinks.append(SinkConfig(kind="file", target=target))
+            if (target := take("sink.webhook")) is not None:
+                sinks.append(SinkConfig(kind="webhook", target=target, **_given(
+                    timeout_secs=take("sink.webhook.timeout_secs", float),
+                    retry=take("sink.webhook.retry", int))))
+            cfg = cls(**_given(
+                ssh=BruteForceConfig(**_given(
+                    threshold=take("ssh.threshold", int),
+                    window_secs=take("ssh.window_secs", float),
+                    cooldown_secs=take("ssh.cooldown_secs", float),
+                    whitelist=take("ssh.whitelist", lambda raw: set(_list(raw))))),
+                ssh_source_path=take("ssh.source"),
+                ssh_source_command=take("ssh.source_command"),
+                ssh_year=take("ssh.year", _year),
+                phishing=PhishingConfig(**_given(
+                    blacklist_path=take("phish.blacklist_path"),
+                    weights=HeuristicWeights(**_given(
+                        flag_threshold=take("phish.threshold", int))),
+                    brands=take("phish.brands", _list),
+                    keywords=take("phish.keywords", _list))),
+                etd=EtdConfig(**_given(
+                    model_dir=take("etd.model_dir"),
+                    geo_table_path=take("etd.geo_table"),
+                    centroid=take("etd.centroid", _centroid),
+                    freq_window_secs=take("etd.freq_window_secs", float))),
+                retrain=RetrainConfig(**_given(
+                    window_days=take("etd.window_days", int),
+                    holdout_fraction=take("etd.holdout_fraction", float),
+                    quantile=take("etd.quantile", float),
+                    schedule=take("etd.schedule"))),
+                sinks=sinks,
+                mitigation=MitigationPolicy(**_given(
+                    enabled=take("mitigation.enabled", _bool),
+                    command_template=take("mitigation.command"))),
+                url_feed=take("url_feed"),
+                dead_letter_path=take("dead_letter"),
+            ))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if left:
+            raise ConfigError("config keys that nothing reads: " + ", ".join(sorted(left)))
+        if not cfg.sinks:  # after the key check, which names a misspelt sink key
             raise ConfigError("at least one sink must be configured "
                               "(sink.stdout / sink.file / sink.webhook)")
-
-        try:
-            mitigation = MitigationPolicy(
-                enabled=_get_bool(values, "mitigation.enabled", False),
-                command_template=values.get("mitigation.command", DEFAULT_TEMPLATE),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-
-        cfg = cls(
-            ssh=ssh,
-            ssh_source_path=values.get("ssh.source"),
-            ssh_source_command=values.get("ssh.source_command"),
-            ssh_year=_get_int(values, "ssh.year", 0) or None,
-            phishing=phishing,
-            etd=etd,
-            retrain=retrain,
-            sinks=sinks,
-            mitigation=mitigation,
-            url_feed=values.get("url_feed"),
-            dead_letter_path=values.get("dead_letter", "dead_letter.ndjson"),
-        )
         cfg.validate_paths()
         return cfg
 

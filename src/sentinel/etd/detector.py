@@ -134,7 +134,6 @@ def train_model(
     seed: int = 0,
     training_window_days: int = 30,
     trained_at: Optional[Timestamp] = None,
-    iforest_threshold: float = DEFAULT_IFOREST_THRESHOLD,
 ) -> ModelArtifact:
     """Fit normalization, Gaussian baseline (with tau) and isolation forest."""
     if not rows:
@@ -158,7 +157,6 @@ def train_model(
         gaussian=gaussian,
         iforest=forest,
         training_window_days=training_window_days,
-        iforest_threshold=iforest_threshold,
     )
     artifact.version = f"{content_hash(artifact.body)}-{trained_at.epoch():.0f}"
     return artifact

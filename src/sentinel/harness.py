@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,12 +162,15 @@ class EvalReport:
     precision: Optional[float] = None
     recall: Optional[float] = None
     f1: Optional[float] = None
-    throughput_per_sec: Optional[float] = None
-    latency_p50_ms: Optional[float] = None
-    latency_p99_ms: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
+
+
+class TimingReport(NamedTuple):
+    throughput_per_sec: float
+    latency_p50_ms: float
+    latency_p99_ms: float
 
 
 def evaluate(detections: Sequence[bool], labels: Sequence[bool]) -> EvalReport:
@@ -192,7 +195,7 @@ def evaluate(detections: Sequence[bool], labels: Sequence[bool]) -> EvalReport:
     return report
 
 
-def _time_items(fn, items) -> EvalReport:
+def _time_items(fn, items) -> TimingReport:
     warmup = max(1, len(items) // 10)
     for item in items[:warmup]:
         fn(item)
@@ -203,14 +206,14 @@ def _time_items(fn, items) -> EvalReport:
         fn(item)
         latencies[i] = time.perf_counter() - t0
     elapsed = time.perf_counter() - start
-    return EvalReport(
+    return TimingReport(
         throughput_per_sec=len(items) / elapsed,
         latency_p50_ms=float(np.percentile(latencies, 50) * 1e3),
         latency_p99_ms=float(np.percentile(latencies, 99) * 1e3),
     )
 
 
-def bench(target: str, n: int, seed: int = 42) -> EvalReport:
+def bench(target: str, n: int, seed: int = 42) -> TimingReport:
     """Throughput/latency benchmark for one hot path.
 
     Targets: ``ssh_parse``, ``phish_eval``, ``etd_score``.
@@ -220,7 +223,6 @@ def bench(target: str, n: int, seed: int = 42) -> EvalReport:
         lines, _ = gen_ssh_logs(scenario)
         return _time_items(lambda line: parse_ssh_line(line, year=2025), lines)
     if target == "phish_eval":
-        rng = random.Random(seed)
         blacklist = Blacklist(f"bad{i}.com" for i in range(100_000))
         evaluator = UrlEvaluator(blacklist=blacklist)
         urls, _ = gen_urls(Scenario(seed=seed), n=n)

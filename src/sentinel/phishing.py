@@ -49,6 +49,10 @@ class HeuristicWeights:
     percent_encoding: int = 15
     flag_threshold: int = 70
 
+    def __post_init__(self):
+        if not 1 <= self.flag_threshold <= 100:  # a score runs 0-100
+            raise ValueError("flag_threshold must be in 1..100")
+
 
 @dataclass(frozen=True)
 class PhishVerdict:

@@ -48,7 +48,6 @@ class RetrainConfig:
     quantile: float = 0.99
     max_holdout_flag_rate: Optional[float] = None  # None -> 2*(1-q)
     schedule: str = "0 3 * * 1"  # weekly, 03:00 Monday
-    seed: int = 0
 
     def __post_init__(self):
         if self.window_days < 1:
@@ -57,6 +56,7 @@ class RetrainConfig:
             raise ValueError("holdout_fraction must be in (0,1)")
         if self.max_holdout_flag_rate is None:
             self.max_holdout_flag_rate = 2.0 * (1.0 - self.quantile)
+        ScheduleSpec.parse(self.schedule)  # fail fast on a bad spec
 
 
 @dataclass
@@ -92,7 +92,6 @@ def retrain(rows: Sequence[TimedRow], cfg: RetrainConfig,
     artifact = train_model(
         train_rows,
         q=cfg.quantile,
-        seed=cfg.seed,
         training_window_days=cfg.window_days,
         trained_at=trained_at,
     )

@@ -31,6 +31,10 @@ class SinkConfig:
             raise ValueError(f"unknown sink kind {self.kind!r}")
         if self.kind == "webhook" and not self.target.startswith(("http://", "https://")):
             raise ValueError(f"webhook target must be an http(s) URL: {self.target!r}")
+        if self.timeout_secs <= 0:
+            raise ValueError("timeout_secs must be > 0")
+        if self.retry < 0:
+            raise ValueError("retry must be >= 0")
 
 
 @dataclass

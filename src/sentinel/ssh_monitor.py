@@ -66,7 +66,6 @@ class SshAuthRecord:
 class BruteForceConfig:
     threshold: int = 5
     window_secs: float = 300.0
-    poll_secs: float = 60.0
     cooldown_secs: Optional[float] = None  # None -> same as window
     whitelist: Set[str] = field(default_factory=set)
 

@@ -155,6 +155,15 @@ class TestEval:
         assert report["precision"] == 0.5 and report["recall"] == 0.5
 
 
+class TestBench:
+    def test_timing_report_has_no_confusion_counts(self, capsys):
+        code, out = _run(capsys, "bench", "etd_score", "-n", "200")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert set(report) == {"target", "n", "throughput_per_sec",
+                               "latency_p50_ms", "latency_p99_ms"}
+
+
 class TestRun:
     def test_missing_config_is_config_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("CYBERSENTINEL_CONFIG", raising=False)
@@ -177,7 +186,7 @@ class TestRun:
             f"from 192.168.1.12 port 5{i:04d} ssh2\n" for i in range(6)))
         sink = tmp_path / "alerts.ndjson"
         conf = tmp_path / "agent.conf"
-        conf.write_text(f"ssh.source = {log}\nssh.year = 2025\nssh.poll_secs = 0.05\n"
+        conf.write_text(f"ssh.source = {log}\nssh.year = 2025\n"
                         f"sink.file = {sink}\netd.model_dir = {tmp_path / 'models'}\n"
                         f"dead_letter = {tmp_path / 'dead.ndjson'}\n")
         proc = subprocess.Popen(

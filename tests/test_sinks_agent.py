@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -167,7 +170,7 @@ def _agent_config(tmp_path, log_path=None):
     from sentinel.ssh_monitor import BruteForceConfig
 
     return AgentConfig(
-        ssh=BruteForceConfig(threshold=5, window_secs=300, poll_secs=0.05),
+        ssh=BruteForceConfig(threshold=5, window_secs=300),
         ssh_source_path=str(log_path) if log_path else None,
         ssh_year=2025,
         etd=EtdConfig(model_dir=str(tmp_path / "models")),
@@ -524,3 +527,77 @@ class TestConfig:
         with pytest.raises(Exception):
             AgentConfig.from_values({"sink.stdout": "true",
                                      "etd.schedule": "61 * * * *"})
+
+    # Each of these loaded, or crashed with a raw exception, before the
+    # config was checked key by key.
+    @pytest.mark.parametrize("values, named", [
+        ({"etd.centroid": "a, b"}, "etd.centroid"),
+        ({"etd.centroid": "1, 2, 3"}, "etd.centroid"),
+        ({"ssh.year": "-1"}, "ssh.year"),
+        ({"ssh.year": "99999"}, "ssh.year"),
+        ({"sink.webhook": "https://siem.example/hook", "sink.webhook.retry": "-1"}, "retry"),
+        ({"sink.webhook": "https://siem.example/hook",
+          "sink.webhook.timeout_secs": "0"}, "timeout_secs"),
+        ({"sink.webhook.retry": "3"}, "sink.webhook.retry"),
+        ({"etd.freq_window_secs": "0"}, "freq_window_secs"),
+        ({"etd.freq_window_secs": "-5"}, "freq_window_secs"),
+        ({"phish.threshold": "101"}, "threshold"),
+        ({"phish.threshold": "0"}, "threshold"),
+        ({"ssh.source": __file__, "ssh.source_command": "cat"}, "ssh.source_command"),
+        ({"ssh.threshold": "five"}, "ssh.threshold"),
+        ({"mitigation.enabled": "maybe"}, "mitigation.enabled"),
+        ({"mitigation.enable": "true"}, "mitigation.enable"),
+        ({"ssh.treshold": "3"}, "ssh.treshold"),
+        ({"ssh.poll_secs": "1"}, "ssh.poll_secs"),
+        ({"etd.iforest_threshold": "0.7"}, "etd.iforest_threshold"),
+    ], ids=lambda case: case if isinstance(case, str) else None)
+    def test_config_that_cannot_work_is_rejected_by_key(self, values, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            AgentConfig.from_values({"sink.stdout": "true", **values})
+
+    def test_misspelt_only_sink_is_named(self):
+        with pytest.raises(ConfigError, match="sink.stdot"):
+            AgentConfig.from_values({"sink.stdot": "true"})
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"ssh\.whitelist.*line 1.*line 3"):
+            parse_flat_config("ssh.whitelist = 10.0.0.1\nsink.stdout = true\n"
+                              "ssh.whitelist = 10.0.0.2\n")
+
+    def test_values_keep_their_meaning(self, tmp_path):
+        values = {"sink.stdout": "false", "sink.file": str(tmp_path / "alerts.ndjson"),
+                  "ssh.year": "0"}
+        given = dict(values)
+        cfg = AgentConfig.from_values(values)
+        assert values == given  # the caller's dict is not consumed
+        assert [s.kind for s in cfg.sinks] == ["file"]
+        assert cfg.ssh_year is None  # 0 means "no year"
+        assert cfg.ssh.cooldown_secs == cfg.ssh.window_secs
+
+    def test_readme_configuration_loads(self, tmp_path):
+        """Every key the README documents is one the daemon reads."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        blocks = [parse_flat_config(block.split("```", 1)[0])
+                  for block in section.split("```ini\n")[1:]]
+        assert len(blocks) == 2
+        config, command_source = blocks
+        for key in ("ssh.source", "phish.blacklist_path", "url_feed", "etd.geo_table"):
+            path = tmp_path / Path(config[key]).name
+            path.write_text("")
+            config[key] = str(path)
+        cfg = AgentConfig.from_values(config)
+        assert [s.kind for s in cfg.sinks] == ["stdout", "file", "webhook"]
+        # The values shown are the defaults, but for the files, sinks and whitelist.
+        default = AgentConfig.from_values({"sink.stdout": "true"})
+        assert dataclasses.replace(cfg.ssh, whitelist=set()) == default.ssh
+        assert dataclasses.replace(cfg.etd, geo_table_path=None) == default.etd
+        assert cfg.phishing.weights == default.phishing.weights
+        assert (cfg.phishing.brands, cfg.phishing.keywords) == \
+            (default.phishing.brands, default.phishing.keywords)
+        assert (cfg.retrain, cfg.mitigation, cfg.ssh_year, cfg.dead_letter_path) == \
+            (default.retrain, default.mitigation, default.ssh_year, default.dead_letter_path)
+        assert cfg.sinks[2] == SinkConfig(kind="webhook", target=config["sink.webhook"])
+        del config["ssh.source"]
+        cfg = AgentConfig.from_values({**config, **command_source})
+        assert cfg.ssh_source_command == command_source["ssh.source_command"]
