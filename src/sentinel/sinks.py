@@ -29,6 +29,8 @@ class SinkConfig:
     def __post_init__(self):
         if self.kind not in ("stdout", "file", "webhook"):
             raise ValueError(f"unknown sink kind {self.kind!r}")
+        if self.kind == "file" and not self.target:
+            raise ValueError("a file sink needs a path")
         if self.kind == "webhook" and not self.target.startswith(("http://", "https://")):
             raise ValueError(f"webhook target must be an http(s) URL: {self.target!r}")
         if self.timeout_secs <= 0:

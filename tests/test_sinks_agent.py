@@ -539,6 +539,7 @@ class TestConfig:
         ({"sink.webhook": "https://siem.example/hook",
           "sink.webhook.timeout_secs": "0"}, "timeout_secs"),
         ({"sink.webhook.retry": "3"}, "sink.webhook.retry"),
+        ({"sink.file": ""}, "file sink"),
         ({"etd.freq_window_secs": "0"}, "freq_window_secs"),
         ({"etd.freq_window_secs": "-5"}, "freq_window_secs"),
         ({"phish.threshold": "101"}, "threshold"),
