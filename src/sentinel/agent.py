@@ -50,6 +50,10 @@ SCORE_SLICE = 256
 URL_LINE_ATTEMPTS = 3
 # Seconds each monitor waits between polls of its source.
 POLL_SECS = 0.2
+# Most recent mitigation actions and monitor restarts the agent keeps, so
+# that neither record grows with the daemon's uptime.
+MITIGATIONS_KEPT = 1000
+RESTARTS_KEPT = 100
 
 
 class _Supervised(threading.Thread):
@@ -95,9 +99,9 @@ class Agent:
         self.unscored_slices = 0
         self.sinks = [build_sink(sc) for sc in cfg.sinks]
         self.registry = ModelRegistry()
-        self.mitigations: List[dict] = []
+        self.mitigations: deque = deque(maxlen=MITIGATIONS_KEPT)
         self._threads: List[_Supervised] = []
-        self._restart_log: List[str] = []
+        self._restart_log: deque = deque(maxlen=RESTARTS_KEPT)
 
         blacklist = Blacklist()
         if cfg.phishing.blacklist_path:
@@ -243,7 +247,7 @@ class Agent:
             self.dead_letter.record(json.dumps(line), "malformed url feed line")
             return
         try:
-            _, event = self.url_evaluator.evaluate(url, now=self.clock())
+            _, event = self.url_evaluator.evaluate(url, clock=self.clock)
         except InvalidUrlError as exc:
             self.dead_letter.record(json.dumps(line), str(exc))
             return

@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .events import IpAddress, Timestamp
+from .events import IpAddress
 from .etd.features import FeatureRow, MANDATORY_FEATURES
 from .phishing import Blacklist, UrlEvaluator
 from .ssh_monitor import parse_ssh_line
@@ -226,8 +226,7 @@ def bench(target: str, n: int, seed: int = 42) -> TimingReport:
         blacklist = Blacklist(f"bad{i}.com" for i in range(100_000))
         evaluator = UrlEvaluator(blacklist=blacklist)
         urls, _ = gen_urls(Scenario(seed=seed), n=n)
-        now = Timestamp.now()
-        return _time_items(lambda url: evaluator.evaluate(url, now=now), urls)
+        return _time_items(evaluator.evaluate, urls)
     if target == "etd_score":
         from .etd.detector import score_event, train_model
         train = gen_normal_rows(2000, seed)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 from urllib.parse import urlsplit
 
 from .events import DetectionMethod, PhishingAlert, Timestamp
@@ -210,6 +210,17 @@ def heuristic_score(
         # Length gap bounds the edit distance from below; skip the DP.
         if abs(len(registered) - len(brand)) > 2:
             continue
+        # Partition filter (Wu & Manber, CACM 1992): two edits change at
+        # most two of three disjoint pieces of the brand, so a domain within
+        # two edits holds the third unchanged.  The cuts fall in the label,
+        # so the TLD stays on the last piece; an empty piece always matches.
+        n = brand.rfind(".")
+        if n < 0:
+            n = len(brand)
+        a, b = n // 3, 2 * n // 3
+        if not (brand[:a] in registered or brand[a:b] in registered
+                or brand[b:] in registered):
+            continue
         if 1 <= levenshtein(registered, brand, 2) <= 2:
             score += w.brand_similarity
             triggered.append("brand_similarity")
@@ -252,24 +263,24 @@ def evaluate_url(
     weights: Optional[HeuristicWeights] = None,
     brands: Optional[Sequence[str]] = None,
     keywords: Optional[Sequence[str]] = None,
-    now: Optional[Timestamp] = None,
+    clock: Callable[[], Timestamp] = Timestamp.now,
 ) -> Tuple[PhishVerdict, Optional[PhishingAlert]]:
     """Evaluate one URL; returns the verdict and, if flagged, the alert event.
-    `brands` and `keywords` are lower case.
+    `brands` and `keywords` are lower case; `clock` is read only to stamp
+    an alert.
 
     Raises InvalidUrlError when no host can be extracted.
     """
     w = weights or HeuristicWeights()
     parts = parse_url(url)
-    now = now or Timestamp.now()
     if blacklist is not None and check_blacklist(parts, blacklist):
         verdict = PhishVerdict(url, 100, DetectionMethod.BLACKLIST, ("blacklist",))
-        return verdict, PhishingAlert(now, url, 100, DetectionMethod.BLACKLIST)
+        return verdict, PhishingAlert(clock(), url, 100, DetectionMethod.BLACKLIST)
     score, triggered = heuristic_score(parts, w, brands, keywords)
     verdict = PhishVerdict(url, score, DetectionMethod.HEURISTIC, tuple(triggered))
     event = None
     if score >= w.flag_threshold:
-        event = PhishingAlert(now, url, score, DetectionMethod.HEURISTIC)
+        event = PhishingAlert(clock(), url, score, DetectionMethod.HEURISTIC)
     return verdict, event
 
 
@@ -288,6 +299,6 @@ class UrlEvaluator:
         self.brands = [b.lower() for b in (DEFAULT_BRANDS if brands is None else brands)]
         self.keywords = [k.lower() for k in (DEFAULT_KEYWORDS if keywords is None else keywords)]
 
-    def evaluate(self, url: str, now: Optional[Timestamp] = None):
+    def evaluate(self, url: str, clock: Callable[[], Timestamp] = Timestamp.now):
         return evaluate_url(url, self.blacklist, self.weights,
-                            self.brands, self.keywords, now=now)
+                            self.brands, self.keywords, clock=clock)

@@ -8,6 +8,7 @@ event once the count inside the window reaches the configured threshold.
 from __future__ import annotations
 
 import functools
+import hashlib
 import logging
 import os
 import re
@@ -229,7 +230,9 @@ class TailSource:
     """Poll a log file (or a shell command's stdout) for new lines.
 
     File sources resume from the stored offset; truncation (rotation)
-    restarts from offset 0.  Lines end only at ``\n``: an unterminated
+    restarts from offset 0.  A command is re-run on each poll; when its
+    output starts with the output of the last run, byte for byte, only
+    the lines after it are new.  Lines end only at ``\n``: an unterminated
     last line is held back until a later poll completes it, unless it
     grows past ``MAX_PARTIAL_BYTES``; then it is dropped up to its end
     and counted in ``overlong_lines``.  A missing source degrades health
@@ -246,6 +249,8 @@ class TailSource:
         self._partial = b""  # bytes after the last newline read so far
         self._overlong = False  # inside a line being dropped
         self.overlong_lines = 0
+        # Length and SHA-256 of the command output already returned.
+        self._returned = (0, hashlib.sha256().digest())
 
     def poll(self) -> List[str]:
         """One polling pass; returns any new complete lines."""
@@ -290,7 +295,19 @@ class TailSource:
             self.healthy = False
             return []
         self.healthy = True
+        data = out.stdout
+        n, returned = self._returned
+        digest = hashlib.sha256(memoryview(data)[:n])
+        if len(data) >= n and digest.digest() == returned:
+            new = data[n:]
+            if n and data[n - 1] != 0x0A:  # the rest of a line already returned
+                cut = new.find(b"\n")
+                new = new[cut + 1:] if cut >= 0 else b""
+        else:  # not a continuation: all of it is new
+            new = data
+        digest.update(memoryview(data)[n:])
+        self._returned = (len(data), digest.digest())
         # Lines end only at "\n", as in a file (see _poll_file); the
         # output is complete, so an unterminated last line counts.
-        lines = out.stdout.decode("utf-8", errors="replace").split("\n")
+        lines = new.decode("utf-8", errors="replace").split("\n")
         return lines[:-1] if lines[-1] == "" else lines

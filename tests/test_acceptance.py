@@ -71,13 +71,13 @@ def test_criterion_1_event_json_fidelity():
         assert events[0].to_dict() == _golden("golden_brute_force.json")
 
         _, alert = evaluate_url("http://secure-updates-login.com",
-                                now=Timestamp.parse("2025-02-13T09:11:45Z"))
+                                clock=lambda: Timestamp.parse("2025-02-13T09:11:45Z"))
         assert alert is not None
         assert alert.to_dict() == _golden("golden_phishing_heuristic.json")
 
         _, alert = evaluate_url("http://fake-bank-login.com",
                                 blacklist=Blacklist(["fake-bank-login.com"]),
-                                now=Timestamp.parse("2025-02-12T16:45:10Z"))
+                                clock=lambda: Timestamp.parse("2025-02-12T16:45:10Z"))
         assert alert is not None
         assert alert.to_dict() == _golden("golden_phishing_blacklist.json")
 

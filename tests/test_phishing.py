@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sentinel.phishing as phishing
 from oracles import levenshtein_recursive
 from sentinel.events import DetectionMethod, Timestamp
+from sentinel.harness import Scenario, gen_urls
 from sentinel.phishing import (
     Blacklist,
     HeuristicWeights,
     InvalidUrlError,
     UrlEvaluator,
+    UrlParts,
     check_blacklist,
     evaluate_url,
     heuristic_score,
@@ -164,6 +167,26 @@ class TestBlacklist:
         assert len(bl) == 2 and "bad.com" in bl and "worse.com" in bl
 
 
+@st.composite
+def brand_and_lookalike(draw):
+    """A lower-case brand, with or without a TLD, and that brand after
+    up to three random edits."""
+    letters = "abcdego"  # few letters, so pieces of the brand recur by chance
+    label = draw(st.text(alphabet=letters, max_size=12))
+    tld = draw(st.sampled_from(["", ".com", ".co", ".a"]))
+    brand = label + tld
+    reg = list(brand)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        i = draw(st.integers(min_value=0, max_value=len(reg)))
+        ch = draw(st.sampled_from(letters + "."))
+        if op == "insert":
+            reg.insert(i, ch)
+        elif i < len(reg):
+            reg[i:i + 1] = [ch] if op == "substitute" else []
+    return brand, "".join(reg)
+
+
 class TestHeuristicScore:
     def test_calibrated_example_scores_85(self):
         score, triggered = heuristic_score(parse_url("http://secure-updates-login.com"))
@@ -201,6 +224,27 @@ class TestHeuristicScore:
             http, _ = heuristic_score(parse_url("http://" + suffix))
             assert http >= https
 
+    @settings(max_examples=500, deadline=None)
+    @given(brand_and_lookalike())
+    def test_brand_verdict_matches_the_oracle(self, pair):
+        brand, reg = pair
+        parts = UrlParts("https", reg, reg, 0, "", "", 0)
+        _, triggered = heuristic_score(parts, brands=[brand], keywords=[])
+        assert ("brand_similarity" in triggered) == (1 <= levenshtein_recursive(reg, brand) <= 2)
+
+    def test_benign_urls_skip_the_edit_distance(self, monkeypatch):
+        # Each of these 1,624 hosts is within two characters of a brand's
+        # length; without the three-piece filter they cost 5,010 DP calls.
+        urls, labels = gen_urls(Scenario(seed=42), n=2000)
+        benign = [url for url, label in zip(urls, labels) if not label]
+        calls = []
+        exact = phishing.levenshtein
+        monkeypatch.setattr(phishing, "levenshtein", lambda *args: calls.append(1) or exact(*args))
+        for url in benign:
+            heuristic_score(parse_url(url))
+        assert len(benign) == 1624
+        assert len(calls) <= 100  # 0 measured
+
 
 class TestEvaluateUrl:
     def test_blacklisted_is_100(self):
@@ -223,8 +267,8 @@ class TestEvaluateUrl:
 
     def test_stateless(self):
         now = Timestamp.parse("2025-02-13T09:11:45Z")
-        first = evaluate_url("http://secure-updates-login.com", now=now)
-        second = evaluate_url("http://secure-updates-login.com", now=now)
+        first = evaluate_url("http://secure-updates-login.com", clock=lambda: now)
+        second = evaluate_url("http://secure-updates-login.com", clock=lambda: now)
         assert first == second
 
     def test_invalid_url_raises_without_event(self):
@@ -237,8 +281,8 @@ class TestUrlEvaluator:
         ev = UrlEvaluator()
         first, second = (Timestamp.parse("2025-01-01T00:00:00Z"),
                          Timestamp.parse("2025-06-01T00:00:00Z"))
-        _, a = ev.evaluate("http://secure-updates-login.com", now=first)
-        _, b = ev.evaluate("http://secure-updates-login.com", now=second)
+        _, a = ev.evaluate("http://secure-updates-login.com", clock=lambda: first)
+        _, b = ev.evaluate("http://secure-updates-login.com", clock=lambda: second)
         assert a.timestamp == first and b.timestamp == second
 
     def test_brands_and_keywords_any_case(self):

@@ -221,6 +221,42 @@ class TestAgent:
         # dry-run mitigation recorded, nothing executed
         assert agent.mitigations and agent.mitigations[0]["action"] == "would_execute"
 
+    def test_mitigations_kept_are_capped(self, tmp_path):
+        from sentinel.agent import MITIGATIONS_KEPT, Agent
+
+        cfg = _agent_config(tmp_path)
+        cfg.sinks = []
+        agent = Agent(cfg)
+        for i in range(20_000):
+            agent._handle(BruteForce(T0.add_seconds(i), IpAddress.parse("1.2.3.4"), 5))
+        assert len(agent.mitigations) == MITIGATIONS_KEPT
+        assert agent.mitigations[-1]["ip"] == "1.2.3.4"
+
+    def test_url_clock_read_only_for_an_alert(self, tmp_path):
+        from sentinel.agent import Agent
+
+        blacklist = tmp_path / "blacklist.txt"
+        blacklist.write_text("fake-bank.com\n")
+        cfg = _agent_config(tmp_path)
+        cfg.phishing.blacklist_path = str(blacklist)
+        reads = []
+
+        def clock():
+            reads.append(1)
+            return T0
+
+        agent = Agent(cfg, clock=clock)
+        for url in ["https://example.com/", "https://site12.org/page/3",
+                    "https://docs.example.net/a", "http://secure-updates-login.com",
+                    "https://fake-bank.com/"]:
+            agent._check_url(json.dumps({"url": url}))
+        assert len(reads) == 2
+        alerts = []
+        while not agent.queue.empty():
+            alerts.append(agent.queue.get_nowait())
+        assert [(a.detection_method, a.timestamp) for a in alerts] == [
+            (DetectionMethod.HEURISTIC, T0), (DetectionMethod.BLACKLIST, T0)]
+
     def test_fault_injection_restart_keeps_prior_events(self, tmp_path):
         from sentinel.agent import Agent
 
@@ -369,7 +405,7 @@ class TestAgent:
         assert reasons[0] == reasons[2] == "malformed url feed line"
         assert "no host" in reasons[1]
         assert agent.dead_letter.count == 3
-        assert agent._restart_log == []
+        assert not agent._restart_log
 
     def _alerts(self, tmp_path, kind):
         sink = tmp_path / "alerts.ndjson"
@@ -422,7 +458,7 @@ class TestAgent:
         assert len(self._alerts(tmp_path, "BruteForce")) == 1
         assert agent.unscored_slices == 1
         assert len(agent._timed_rows) == 6  # still buffered for retraining
-        assert agent._restart_log == []
+        assert not agent._restart_log
 
     def test_url_feed_restart_retries_the_failed_line_only(self, tmp_path):
         from sentinel.agent import Agent
@@ -437,11 +473,11 @@ class TestAgent:
         state = {"raised": False}
         evaluate = agent.url_evaluator.evaluate
 
-        def flaky(url, now=None):
+        def flaky(url, **kwargs):
             if url == urls[2] and not state["raised"]:
                 state["raised"] = True
                 raise RuntimeError("injected fault")
-            return evaluate(url, now=now)
+            return evaluate(url, **kwargs)
 
         agent.url_evaluator.evaluate = flaky
         agent.start()
@@ -462,10 +498,10 @@ class TestAgent:
         agent = Agent(cfg)
         evaluate = agent.url_evaluator.evaluate
 
-        def broken(url, now=None):
+        def broken(url, **kwargs):
             if url == urls[0]:
                 raise RuntimeError("injected fault")
-            return evaluate(url, now=now)
+            return evaluate(url, **kwargs)
 
         agent.url_evaluator.evaluate = broken
         agent.start()

@@ -314,6 +314,31 @@ class TestTailSource:
         src = TailSource(command="printf 'x\\ny\\n'")
         assert src.poll() == ["x", "y"]
 
+    def test_command_source_rerun_invents_no_failures(self):
+        # The same one-line output on five polls is one failed login.
+        src = TailSource(command="printf '%s\\n' " + shlex.quote(FAILED))
+        det = BruteForceDetector(BruteForceConfig())
+        events = []
+        for _ in range(5):
+            for line in src.poll():
+                events.append(det.ingest(parse_ssh_line(line, year=2025)))
+        assert len(events) == 1 and events[0] is None
+
+    def test_command_source_yields_only_what_its_output_gained(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text("a\nb\n")
+        src = TailSource(command="cat " + shlex.quote(str(out)))
+        assert src.poll() == ["a", "b"]
+        assert src.poll() == []
+        out.write_text("a\nb\nc\n")
+        assert src.poll() == ["c"]
+        out.write_text("a\nb\nc\nd")  # an unterminated last line counts
+        assert src.poll() == ["d"]
+        out.write_text("a\nb\nc\nde\nf\n")  # "de" was returned as "d"
+        assert src.poll() == ["f"]
+        out.write_text("x\nb\n")  # not a continuation: all of it is new
+        assert src.poll() == ["x", "b"]
+
     @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x1c"])
     def test_command_source_line_ends_only_at_newline(self, sep):
         # A username the attacker chooses must not forge a line break.
