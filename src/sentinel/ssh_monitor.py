@@ -230,13 +230,13 @@ class TailSource:
     """Poll a log file (or a shell command's stdout) for new lines.
 
     File sources resume from the stored offset; truncation (rotation)
-    restarts from offset 0.  A command is re-run on each poll; when its
-    output starts with the output of the last run, byte for byte, only
-    the lines after it are new.  Lines end only at ``\n``: an unterminated
+    restarts from offset 0.  Lines end only at ``\n``: an unterminated
     last line is held back until a later poll completes it, unless it
     grows past ``MAX_PARTIAL_BYTES``; then it is dropped up to its end
-    and counted in ``overlong_lines``.  A missing source degrades health
-    rather than raising.
+    and counted in ``overlong_lines``.  A command is re-run on each
+    poll; when its output starts with the output of the last run, byte
+    for byte, only the lines after it are new.  A missing source
+    degrades health rather than raising.
     """
 
     def __init__(self, path: Optional[str] = None, command: Optional[str] = None):
