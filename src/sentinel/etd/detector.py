@@ -51,9 +51,13 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def content_hash(body: str) -> str:
-    """A version's hash part: the head of the SHA-256 of the artifact body."""
-    return hashlib.sha256(body.encode()).hexdigest()[:16]
+def content_hash(*body) -> str:
+    """A version's hash part: the head of the SHA-256 of the artifact
+    body, given as one str or as bytes-like pieces of its UTF-8 text."""
+    digest = hashlib.sha256()
+    for piece in body:
+        digest.update(piece.encode() if isinstance(piece, str) else piece)
+    return digest.hexdigest()[:16]
 
 
 @dataclass

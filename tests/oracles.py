@@ -4,7 +4,9 @@ available (full recounts, explicit elimination, naive recursion, per-node
 tree walks) and share no code with the package."""
 
 import json
+import re
 from functools import lru_cache
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -71,6 +73,42 @@ def levenshtein_recursive(a, b):
         )
 
     return go(len(a), len(b))
+
+
+def urlsplit_url_parts(text):
+    """The URL fields by RFC 3986, as ``urlsplit`` and ``.hostname`` read
+    them: (scheme, host, registered domain, subdomain depth, path, query,
+    percent escapes).  Raises ValueError when no host can be read.  A
+    browser reads an http(s) URL with a backslash, a percent-encoded or
+    non-ASCII host, an "@" or a numeric last label otherwise."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty URL")
+    split = urlsplit(text)
+    host = (split.hostname or "").lower()
+    if host.endswith("."):
+        host = host[:-1]
+    if not host or not re.fullmatch(r"[a-z0-9._\-]+", host):
+        raise ValueError(f"no valid host in {text!r}")
+    scheme = split.scheme.lower()
+    labels = host.split(".")
+    depth = max(len(labels) - 2, 0)
+    escapes = len(re.findall(r"%[0-9A-Fa-f]{2}", split.path + split.query))
+    return (scheme if scheme in ("http", "https") else "other", host,
+            ".".join(labels[-2:]), depth, split.path, split.query, escapes)
+
+
+def blacklist_entries(path):
+    """A blacklist file's entries, read line by line: the text before any
+    ``#``, stripped, lower case, one trailing dot removed."""
+    entries = set()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            name = line.split("#", 1)[0].strip().lower()
+            name = name[:-1] if name.endswith(".") else name
+            if name:
+                entries.add(name)
+    return entries
 
 
 def two_pass_covariance(X):

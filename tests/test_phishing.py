@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sentinel.phishing as phishing
-from oracles import levenshtein_recursive
+from oracles import blacklist_entries, levenshtein_recursive, urlsplit_url_parts
 from sentinel.events import DetectionMethod, Timestamp
 from sentinel.harness import Scenario, gen_urls
 from sentinel.phishing import (
@@ -48,10 +48,93 @@ class TestParseUrl:
         assert parts.registered_domain == "evil.example"
         assert parts.subdomain_depth == 1
 
-    @pytest.mark.parametrize("url", ["http://./", "http://[::1/", "http://a b.com/"])
+    @pytest.mark.parametrize("url", [
+        "http://./", "http://[::1/", "http://a b.com/", "http://[::1]/",
+        "http://evil%ff.com/",            # a percent-decoded host that is not UTF-8
+        "http://evil.com%40paypal.com/",  # a decoded "@" is no host character
+        "http://evil.123/",               # a numeric last label, not an address
+        "http://08.0.0.1/",               # 8 is no octal digit
+        "http://256.0.0.1/", "http://1.2.3.4.5/", "http://4294967296/", "http://1.2.65536/",
+        "http://" + "a" * 64 + ".\u00e9.com/",  # IDNA takes no label over 63
+    ])
     def test_hostless_or_unparseable(self, url):
         with pytest.raises(InvalidUrlError):
             parse_url(url)
+
+    # (url, host, path) by the WHATWG URL Standard, sections 3.5 and 4.4.
+    BROWSER_HOSTS = [
+        ("http://evil.com\\@paypal.com/login", "evil.com", "/@paypal.com/login"),
+        ("http:\\\\evil.com\\a\\b", "evil.com", "/a/b"),
+        ("http://evil%2ecom/login", "evil.com", "/login"),
+        ("http://%65vil.com/", "evil.com", "/"),
+        ("http://p\u0430ypal.com/login", "xn--pypal-4ve.com", "/login"),  # a Cyrillic a
+        ("http://B\u00fccher.DE./", "xn--bcher-kva.de", "/"),
+        ("http://evil\u3002com/", "evil.com", "/"),  # an ideographic full stop
+        ("http://0x7f.1/", "127.0.0.1", "/"),
+        ("http://2130706433/", "127.0.0.1", "/"),
+        ("http://010.0.0.1/", "8.0.0.1", "/"),
+        ("http://0X7F.0.0.01/", "127.0.0.1", "/"),
+        ("http://127.1/", "127.0.0.1", "/"),
+        ("http://4294967295/", "255.255.255.255", "/"),
+        ("http://0x/", "0.0.0.0", "/"),
+        ("http://1.2.3.4./", "1.2.3.4", "/"),
+        ("http://ev\til.com/", "evil.com", "/"),
+        ("http://evil.com/lo\ngin\r", "evil.com", "/login"),
+        ("http://user:p@ss@evil.com/", "evil.com", "/"),
+        ("http:evil.com", "evil.com", ""),
+        ("http:///evil.com/x", "evil.com", "/x"),
+        ("HTTPS://Evil.COM/x", "evil.com", "/x"),
+        ("http://evil.com:8080/x", "evil.com", "/x"),
+        ("http://evil.com:abc/x", "evil.com", "/x"),
+        ("http://a.com#@evil.com", "a.com", ""),
+        ("http://a.com?@evil.com", "a.com", ""),
+        (" \x00\x1f http://evil.com/ \x07", "evil.com", "/"),
+        ("\u00a0http://evil.com\\@paypal.com/", "evil.com", "/@paypal.com/"),
+    ]
+
+    @pytest.mark.parametrize("url, host, path", BROWSER_HOSTS)
+    def test_host_as_a_browser_reads_it(self, url, host, path):
+        parts = parse_url(url)
+        assert (parts.host, parts.path) == (host, path)
+
+    def test_scheme_and_query(self):
+        parts = parse_url("HTTPS:\\\\a.b.example.com\\x\\?q=a\\b%20%21#frag")
+        assert (parts.scheme, parts.registered_domain, parts.subdomain_depth) == \
+            ("https", "example.com", 2)
+        assert (parts.path, parts.query, parts.percent_encoded_count) == ("/x/", "q=a\\b%20%21", 2)
+
+    def test_ipv4_host_has_no_parent_domains(self):
+        for url in ("http://1.2.3.4/login", "http://0x01020304/login", "http://1.2.772/x"):
+            parts = parse_url(url)
+            assert (parts.host, parts.registered_domain, parts.subdomain_depth) == \
+                ("1.2.3.4", "1.2.3.4", 0)
+
+    labels = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCXYZ0123456789-_",
+                     min_size=1, max_size=8)
+    last_label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+    tail = st.text(alphabet="abcxyz09/?#.:;=&+-_~!$'()*, ", max_size=20)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["http", "https", "HTTP", "hTTps", "ftp", "ws", "mailto"]),
+           st.lists(labels, max_size=4), last_label,
+           st.sampled_from(["", ".", ":", ":8080", ":x"]),
+           st.sampled_from(["", "/", "?", "#"]), tail, st.sampled_from(["", " ", "  "]))
+    def test_urlsplit_oracle_where_the_readings_agree(self, scheme, head, last, port, sep, rest,
+                                                      pad):
+        """Without "\\", "%", "@", control characters, non-ASCII, a numeric
+        last label or an IPv6 bracket, a browser and RFC 3986 read the same
+        host."""
+        rest = sep + rest if sep else ""  # the host ends at the port
+        url = f"{pad}{scheme}://{'.'.join(head + [last])}{port}{rest}{pad}"
+        try:
+            expected = urlsplit_url_parts(url)
+        except ValueError:
+            with pytest.raises(InvalidUrlError):
+                parse_url(url)
+            return
+        parts = parse_url(url)
+        assert (parts.scheme, parts.host, parts.registered_domain, parts.subdomain_depth,
+                parts.path, parts.query, parts.percent_encoded_count) == expected
 
 
 def exact(a, b):
@@ -165,6 +248,52 @@ class TestBlacklist:
         path.write_text("# header\nbad.com\n\nworse.com  # inline\n")
         bl = Blacklist.load(str(path))
         assert len(bl) == 2 and "bad.com" in bl and "worse.com" in bl
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet="aBz.#  \t\r", max_size=8), max_size=8),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_load_reads_the_entries_line_by_line_would(self, tmp_path_factory, lines, newline):
+        path = tmp_path_factory.mktemp("bl") / "bl.txt"
+        path.write_bytes(newline.join(lines).encode())
+        bl = Blacklist.load(str(path))
+        entries = blacklist_entries(path)
+        assert len(bl) == len(entries) and all(entry in bl for entry in entries)
+
+    def test_load_file_with_crlf_case_and_dots(self, tmp_path):
+        path = tmp_path / "bl.txt"
+        path.write_bytes(b"# list\r\nBad.COM.\r\n\r\n  worse.com # x\r\nbad.com\r\n")
+        bl = Blacklist.load(str(path))
+        assert len(bl) == 2 and "bad.com" in bl and "worse.com" in bl
+        assert {"bad.com", "worse.com"} == blacklist_entries(path)
+
+    def test_idn_entry_matches_its_url(self, tmp_path):
+        path = tmp_path / "bl.txt"
+        path.write_text("B\u00fccher.de.\n", encoding="utf-8")
+        for bl in (Blacklist(["b\u00fccher.de"]), Blacklist.load(str(path))):
+            assert len(bl) == 1 and "xn--bcher-kva.de" in bl
+            for url in ("http://b\u00fccher.de/login", "https://www.B\u00dcCHER.de./",
+                        "http://xn--bcher-kva.de/"):
+                verdict, event = evaluate_url(url, blacklist=bl)
+                assert verdict.method is DetectionMethod.BLACKLIST and event is not None
+
+    def test_entry_idna_cannot_encode_is_dropped(self):
+        bl = Blacklist(["\u00e9" * 70 + ".com", "evil.com"])
+        assert len(bl) == 1 and "evil.com" in bl
+
+    def test_ipv4_entry_matches_only_its_address(self):
+        bl = Blacklist(["3.4", "10.0.0.1"])
+        verdict, event = evaluate_url("http://1.2.3.4/x", blacklist=bl)
+        assert verdict.method is DetectionMethod.HEURISTIC and event is None
+        for url in ("http://10.0.0.1/x", "http://167772161/x", "http://0xa.1/x"):
+            verdict, event = evaluate_url(url, blacklist=bl)
+            assert verdict.score == 100 and verdict.method is DetectionMethod.BLACKLIST
+
+    def test_backslash_does_not_hide_a_listed_host(self):
+        bl = Blacklist(["evil.com"])
+        for url in ("http://evil.com\\@paypal.com/login", "https://evil%2ecom/login",
+                    "http:evil.com/x"):
+            verdict, event = evaluate_url(url, blacklist=bl)
+            assert verdict.method is DetectionMethod.BLACKLIST and event is not None
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sentinel.retraining as retraining
 from sentinel.etd.detector import score_event, train_model
 from sentinel.etd.gaussian import TrainingError
 from sentinel.events import Timestamp
@@ -117,6 +118,37 @@ class TestPersistence:
         data = path.read_text().replace(artifact.version, "deadbeefdeadbeef-0")
         path.write_text(data)
         with pytest.raises(CorruptArtifactError):
+            load_artifact(path)
+
+    def test_persisted_file_is_checked_on_its_own_bytes(self, tmp_path, monkeypatch):
+        artifact = train_model(gen_normal_rows(200, 8), trained_at=T0)
+        path = persist_artifact(artifact, tmp_path)
+        monkeypatch.setattr(retraining, "canonical_json", lambda obj: pytest.fail("re-dumped"))
+        assert load_artifact(path).body == artifact.body
+
+    def test_one_byte_body_edit_rejected(self, tmp_path):
+        artifact = train_model(gen_normal_rows(200, 8), trained_at=T0)
+        path = persist_artifact(artifact, tmp_path)
+        data = path.read_bytes()
+        at = data.index(b'"training_window_days":') + len(b'"training_window_days":')
+        path.write_bytes(data[:at] + (b"8" if data[at:at + 1] != b"8" else b"9") + data[at + 1:])
+        with pytest.raises(CorruptArtifactError, match="hash mismatch"):
+            load_artifact(path)
+
+    def test_respaced_copy_still_loads(self, tmp_path):
+        artifact = train_model(gen_normal_rows(200, 8), trained_at=T0)
+        path = persist_artifact(artifact, tmp_path)
+        payload = json.loads(path.read_text())
+        head = '{"version":%s,' % json.dumps(artifact.version)
+        body = json.dumps({k: v for k, v in payload.items() if k != "version"}, indent=1)
+        for text in (json.dumps(payload, indent=2), head + body[1:]):
+            path.write_text(text)
+            assert load_artifact(path).body == artifact.body
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "etd_model_x.json"
+        path.write_bytes(b'{"version": "\xff-0"}')
+        with pytest.raises(CorruptArtifactError, match="cannot read"):
             load_artifact(path)
 
     @pytest.mark.parametrize("text", ["[]", "null", '"etd"', '{"version": 5}', "{}"])
