@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 
 from .config import AgentConfig
 from .events import SecurityEvent, Timestamp, serialize_event
-from .etd.detector import ScoringError, detect_batch
+from .etd.detector import detect_batch
 from .etd.features import StreamingFeatureExtractor
 from .etd.geo import GeoTable
 from .mitigation import mitigate
@@ -96,7 +96,6 @@ class Agent:
         self.queue: "queue.Queue" = queue.Queue(maxsize=QUEUE_CAPACITY)
         self.dead_letter = DeadLetterLog(cfg.dead_letter_path)
         self.overflow_count = 0
-        self.unscored_slices = 0
         self.sinks = [build_sink(sc) for sc in cfg.sinks]
         self.registry = ModelRegistry()
         self.mitigations: deque = deque(maxlen=MITIGATIONS_KEPT)
@@ -195,8 +194,7 @@ class Agent:
 
     def _score_records(self, records) -> None:
         """Buffer the records' feature rows for retraining and emit an
-        EmergentThreat for each one the live model flags.  A slice the
-        live model cannot score is counted and skipped."""
+        EmergentThreat for each one the live model flags."""
         rows = [self.feature_extractor.extract(rec) for rec in records]
         stamps = [rec.timestamp for rec in records]
         with self._rows_lock:
@@ -204,10 +202,6 @@ class Agent:
         try:
             events = detect_batch(self.registry.get(), rows, stamps)
         except NoModelError:
-            return
-        except ScoringError as exc:
-            self.unscored_slices += 1
-            log.warning("skipping %d records the live model cannot score: %s", len(rows), exc)
             return
         for event in events:
             self.emit(event)

@@ -175,7 +175,7 @@ def cmd_gen(args) -> int:
             _emit({"rows": len(rows), "anomalies": sum(labels), "out": args.out})
         else:
             for row, label in zip(rows, labels):
-                print(json.dumps({**row.as_dict(), "label": int(label)}))
+                print(json.dumps({**row._asdict(), "label": int(label)}))
     elif args.what == "urls":
         urls, labels = harness.gen_urls(scenario, n=args.n or 100)
         for url, label in zip(urls, labels):
@@ -263,7 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # ValueError: a bad CSV, or a TrainingError
+        if not getattr(args, "data", None):  # train, retrain and validate --data
+            raise
+        _emit({"ok": False, "data": args.data, "error": str(exc)})
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from .gaussian import (
 )
 from .iforest import IsolationForestModel, avg_path_length, build_iforest, iforest_score
 from .detector import (
-    ModelArtifact, ScoringError, detect_batch, score_batch, score_event, train_model,
+    ModelArtifact, detect_batch, score_batch, score_event, train_model,
 )
 
 __all__ = [
@@ -26,5 +26,5 @@ __all__ = [
     "GaussianModel", "NormalizationStats", "TrainingError",
     "calibrate_tau", "fit_gaussian", "mahalanobis_score",
     "IsolationForestModel", "avg_path_length", "build_iforest", "iforest_score",
-    "ModelArtifact", "ScoringError", "detect_batch", "score_batch", "score_event", "train_model",
+    "ModelArtifact", "detect_batch", "score_batch", "score_event", "train_model",
 ]

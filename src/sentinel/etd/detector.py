@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..events import EmergentThreat, IpAddress, Timestamp
-from .features import FeatureRow
+from .features import MANDATORY_FEATURES, FeatureRow
 from .gaussian import (
     GaussianModel,
     NormalizationStats,
@@ -29,10 +29,6 @@ from .gaussian import (
 from .iforest import IsolationForestModel, build_iforest, iforest_scores
 
 DEFAULT_IFOREST_THRESHOLD = 0.7
-
-
-class ScoringError(ValueError):
-    pass
 
 
 @dataclass
@@ -70,6 +66,13 @@ class ModelArtifact:
     iforest: IsolationForestModel
     training_window_days: int
     iforest_threshold: float = DEFAULT_IFOREST_THRESHOLD
+
+    def __post_init__(self):
+        # Where each feature sits in a row; one no row holds is refused here.
+        unknown = sorted(set(self.feature_names) - set(MANDATORY_FEATURES))
+        if unknown:
+            raise ValueError(f"unknown feature {', '.join(unknown)}: a row holds no such column")
+        self.columns = [MANDATORY_FEATURES.index(n) for n in self.feature_names]
 
     @functools.cached_property
     def body(self) -> str:
@@ -142,13 +145,9 @@ def train_model(
     """Fit normalization, Gaussian baseline (with tau) and isolation forest."""
     if not rows:
         raise TrainingError("no training rows")
-    names = rows[0].feature_names()
-    try:
-        X = np.array([row.to_vector(names) for row in rows], dtype=float)
-    except KeyError as exc:
-        raise TrainingError(f"inconsistent optional columns, missing {exc}") from exc
-    stats, gaussian = fit_gaussian(X, names, q=q)
-    keep = [names.index(n) for n in stats.feature_names]
+    X = np.array(rows, dtype=float)
+    stats, gaussian = fit_gaussian(X, MANDATORY_FEATURES, q=q)
+    keep = [MANDATORY_FEATURES.index(n) for n in stats.feature_names]
     Z = stats.normalize(X[:, keep])
     forest = build_iforest(Z, tree_count=tree_count, subsample=subsample, seed=seed)
 
@@ -174,10 +173,7 @@ def score_batch(artifact: ModelArtifact, rows: Sequence[FeatureRow]) -> List[Sco
     """
     if not rows:
         return []
-    try:
-        X = np.array([row.to_vector(artifact.feature_names) for row in rows], dtype=float)
-    except KeyError as exc:
-        raise ScoringError(f"feature row missing {exc}") from exc
+    X = np.array(rows, dtype=float)[:, artifact.columns]
     Z = artifact.stats.normalize(X)
     mahal = mahalanobis_scores(artifact.gaussian, Z).tolist()
     forest = iforest_scores(artifact.iforest, Z).tolist()
@@ -202,26 +198,19 @@ def score_event(artifact: ModelArtifact, row: FeatureRow) -> ScoreResult:
 def detect_batch(
     artifact: ModelArtifact,
     rows: Sequence[FeatureRow],
-    timestamps: Optional[Sequence[Timestamp]] = None,
+    timestamps: Sequence[Timestamp],
 ) -> List[EmergentThreat]:
-    """Score ``rows`` as one batch; one EmergentThreat per anomalous row.
-
-    ``timestamps`` pairs rows with their wall-clock times; without it
-    events are stamped at scoring time.
-    """
-    if timestamps is None:
-        timestamps = [Timestamp.now()] * len(rows)
-    elif len(timestamps) != len(rows):
-        raise ValueError(f"{len(timestamps)} timestamps for {len(rows)} rows")
+    """Score ``rows`` as one batch; one EmergentThreat per anomalous row,
+    stamped with its row's entry in ``timestamps``."""
     return [
         EmergentThreat(
             timestamp=ts,
             ip=IpAddress.from_numeric(int(row.ip_numeric)),
             anomaly_score=result.anomaly_score,
-            features=row.as_dict(),
+            features=row._asdict(),
             detector=result.detector,
             model_version=artifact.version,
         )
-        for ts, row, result in zip(timestamps, rows, score_batch(artifact, rows))
+        for ts, row, result in zip(timestamps, rows, score_batch(artifact, rows), strict=True)
         if result.is_anomalous
     ]

@@ -1,69 +1,30 @@
 """Numeric feature rows derived from authentication records.
 
-Six mandatory columns (hour, ip_numeric, status, failed_attempts, freq,
-geo_distance) plus two optional externally supplied columns
-(repo_event_count, url_risk).  A dataset uses the optional columns for
-all rows or for none.
+A row is the six columns the streaming extractor fills: hour,
+ip_numeric, status, failed_attempts, freq and geo_distance.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
-from ..events import Timestamp
 from ..ssh_monitor import SshAuthRecord
 from .geo import GeoTable
 
-MANDATORY_FEATURES = ("hour", "ip_numeric", "status", "failed_attempts", "freq", "geo_distance")
-OPTIONAL_FEATURES = ("repo_event_count", "url_risk")
 
-
-@dataclass(frozen=True)
-class FeatureRow:
+class FeatureRow(NamedTuple):
     hour: float
     ip_numeric: float
     status: float  # 1 success, 0 failure
     failed_attempts: float
     freq: float
     geo_distance: float
-    repo_event_count: Optional[float] = None
-    url_risk: Optional[float] = None
 
-    def feature_names(self):
-        names = list(MANDATORY_FEATURES)
-        if self.repo_event_count is not None:
-            names.append("repo_event_count")
-        if self.url_risk is not None:
-            names.append("url_risk")
-        return names
 
-    def as_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in MANDATORY_FEATURES}
-        for name in OPTIONAL_FEATURES:
-            value = getattr(self, name)
-            if value is not None:
-                d[name] = value
-        return d
-
-    def to_vector(self, names: Sequence[str]) -> List[float]:
-        values = []
-        for name in names:
-            value = getattr(self, name, None)
-            if value is None:
-                raise KeyError(name)
-            values.append(float(value))
-        return values
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureRow":
-        kwargs = {name: float(d[name]) for name in MANDATORY_FEATURES}
-        for name in OPTIONAL_FEATURES:
-            if name in d and d[name] not in (None, ""):
-                kwargs[name] = float(d[name])
-        return cls(**kwargs)
+MANDATORY_FEATURES = FeatureRow._fields
 
 
 class StreamingFeatureExtractor:
@@ -125,20 +86,31 @@ def extract_features(
 
 
 def load_feature_csv(path: str) -> List[FeatureRow]:
-    """Read training rows from CSV with the standard feature header."""
-    rows = []
+    """Read training rows from a CSV whose header is exactly
+    MANDATORY_FEATURES, in order.  Raises ValueError naming a column that
+    is missing or unknown, or a row that is not six finite numbers: a NaN
+    column has no spread, so training would drop it as constant."""
     with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(FeatureRow.from_dict(record))
-    return rows
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header != MANDATORY_FEATURES:
+            unknown = [n for n in header if n not in MANDATORY_FEATURES]
+            missing = [n for n in MANDATORY_FEATURES if n not in header]
+            raise ValueError(f"{path}: header must be {','.join(MANDATORY_FEATURES)}; "
+                             f"unknown columns {unknown}, missing columns {missing}")
+        rows = []
+        for record in filter(None, reader):  # a blank line is no row
+            try:
+                rows.append(FeatureRow(*map(float, record)))
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ValueError(f"a cell is not a finite number: {record}")
+            except (TypeError, ValueError) as exc:  # TypeError: not six cells
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        return rows
 
 
 def save_feature_csv(path: str, rows: Sequence[FeatureRow]) -> None:
-    if not rows:
-        raise ValueError("no rows to write")
-    names = rows[0].feature_names()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow(row.to_vector(names))
+        writer.writerow(MANDATORY_FEATURES)
+        writer.writerows(rows)

@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .events import IpAddress
-from .etd.features import FeatureRow, MANDATORY_FEATURES
+from .etd.features import FeatureRow
 from .phishing import Blacklist, UrlEvaluator
 from .ssh_monitor import parse_ssh_line
 
@@ -117,18 +117,10 @@ def gen_normal_rows(n: int, seed: int) -> List[FeatureRow]:
 
 
 def _rows_from_matrix(X: np.ndarray) -> List[FeatureRow]:
-    rows = []
-    for raw in X:
-        # Keep values inside their domains (ip in [0, 2^32), etc.).
-        rows.append(FeatureRow(
-            hour=float(np.clip(raw[0], 0, 23)),
-            ip_numeric=float(np.clip(raw[1], 0, 2**32 - 1)),
-            status=float(raw[2]),
-            failed_attempts=float(max(raw[3], 0.0)),
-            freq=float(max(raw[4], 0.0)),
-            geo_distance=float(max(raw[5], 0.0)),
-        ))
-    return rows
+    # Keep values inside their domains (ip in [0, 2^32), etc.); status is as drawn.
+    low = [0.0, 0.0, -np.inf, 0.0, 0.0, 0.0]
+    high = [23.0, 2.0**32 - 1, np.inf, np.inf, np.inf, np.inf]
+    return [FeatureRow(*raw) for raw in np.clip(X, low, high).tolist()]
 
 
 def gen_etd_stream(scenario: Scenario) -> Tuple[List[FeatureRow], List[bool]]:

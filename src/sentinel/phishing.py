@@ -20,10 +20,13 @@ DEFAULT_KEYWORDS = ["login", "verify", "update"]
 _PCT_RE = re.compile(r"%[0-9A-Fa-f]{2}")
 _HOST_RE = re.compile(r"[a-z0-9._\-]+")
 _C0_SPACE = "".join(map(chr, range(0x21)))
-# An http(s) URL as a browser splits it (WHATWG URL Standard, section 4.4):
-# any run of "/" and "\" after the scheme, then the authority up to the
-# first "/", "\", "?" or "#", the path, and the query; the fragment is dropped.
-_HTTP_URL_RE = re.compile(r"(https?):[/\\]*([^/\\?#]*)([^?#]*)\??([^#]*)", re.IGNORECASE)
+# A URL of a special scheme other than file (http, https, ws, wss, ftp) as
+# a browser splits it (WHATWG URL Standard, section 4.4): any run of "/" and
+# "\" after the scheme, then the authority up to the first "/", "\", "?" or
+# "#", the path, and the query; the fragment is dropped.  Group 1 holds an
+# http(s) scheme; the others are scored as "other".
+_SPECIAL_URL_RE = re.compile(r"(?:(https?)|wss?|ftp):[/\\]*([^/\\?#]*)([^?#]*)\??([^#]*)",
+                          re.IGNORECASE)
 # A last label that is a number makes the host an IPv4 address.
 _NUMBER_RE = re.compile(r"[0-9]+|0x[0-9a-f]*")
 _IPV4_PART_RE = re.compile(r"0x([0-9a-f]*)|(0[0-7]*)|([1-9][0-9]*)")
@@ -145,12 +148,12 @@ def _ipv4(host: str) -> str:
 def parse_url(text: str) -> UrlParts:
     """Split a URL into the parts the scorer reads.
 
-    An http(s) URL is read as a browser reads it (WHATWG URL Standard,
-    sections 3.5 and 4.4): "\\" is "/", the userinfo runs to the last
-    "@", the port is dropped, and the host is percent-decoded.  Other
-    schemes go through `urlsplit`.  Either host then follows
-    `_ascii_host`, and a host whose last label is a number is an IPv4
-    address, with no parent domains.  Raises InvalidUrlError when no
+    An http, https, ws, wss or ftp URL is read as a browser reads it
+    (WHATWG URL Standard, sections 3.5 and 4.4): "\\" is "/", the userinfo
+    runs to the last "@", the port is dropped, and the host is
+    percent-decoded.  Other schemes go through `urlsplit`.  Either host
+    then follows `_ascii_host`, and a host whose last label is a number is
+    an IPv4 address, with no parent domains.  Raises InvalidUrlError when no
     host can be read.
     """
     # Unicode whitespace as before, then the C0 controls a browser strips.
@@ -159,16 +162,16 @@ def parse_url(text: str) -> UrlParts:
         raise InvalidUrlError("empty URL")
     if "\t" in url or "\n" in url or "\r" in url:
         url = url.replace("\t", "").replace("\n", "").replace("\r", "")
-    m = _HTTP_URL_RE.match(url)
+    m = _SPECIAL_URL_RE.match(url)
     try:
         if m is not None:
             scheme, authority, path, query = m.groups()
-            scheme = scheme.lower()
+            scheme = scheme.lower() if scheme else "other"
             path = path.replace("\\", "/")
             host = authority.rpartition("@")[2].partition(":")[0]
             if "%" in host:
                 host = unquote_to_bytes(host).decode("utf-8")
-        else:  # not http(s): the regex matches every URL that starts "http:"
+        else:  # another scheme: the regex matches any of its schemes then ":"
             split = urlsplit(url)
             scheme, path, query = "other", split.path, split.query
             host = split.hostname or ""

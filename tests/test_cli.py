@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import signal
@@ -134,6 +135,45 @@ class TestGenTrainValidate:
         assert code == EXIT_RUNTIME
         assert json.loads(out)["ok"] is False
 
+    def test_validate_refuses_a_model_naming_url_risk(self, capsys, url_risk_model_dir):
+        version = (url_risk_model_dir / "current").read_text()
+        path = url_risk_model_dir / f"etd_model_{version}.json"
+        code, out = _run(capsys, "validate", "--model", str(path))
+        assert code == EXIT_RUNTIME
+        result = json.loads(out)
+        assert result["ok"] is False and "url_risk" in result["error"]
+
+    HEADER = "hour,ip_numeric,status,failed_attempts,freq,geo_distance\n"
+    BAD_CSVS = {
+        "missing-column": ("hour,ip_numeric,status,failed_attempts,freq\n1,2,1,0,3\n",
+                           "geo_distance"),
+        "non-numeric-cell": (HEADER + "1,2,1,0,3,4\n1,2,1,0,3,far\n", "far"),
+        "nan-cell": (HEADER + "1,2,1,0,3,4\nnan,2,1,0,3,4\n", "finite"),
+        "untrainable": (HEADER + "1,2,1,0,3,4\n" * 10, "constant"),  # a TrainingError
+    }
+
+    @pytest.mark.parametrize("command, case", [  # validate trains nothing
+        pair for pair in itertools.product(["train", "retrain", "validate"], BAD_CSVS)
+        if pair != ("validate", "untrainable")])
+    def test_bad_training_csv_is_a_json_error(self, capsys, tmp_path, command, case):
+        from sentinel.etd.detector import train_model
+        from sentinel.harness import gen_normal_rows
+        from sentinel.retraining import persist_artifact
+
+        text, named = self.BAD_CSVS[case]
+        data = tmp_path / "rows.csv"
+        data.write_text(text)
+        if command == "validate":
+            model = persist_artifact(train_model(gen_normal_rows(300, seed=5), tree_count=10),
+                                     tmp_path / "models")
+            argv = ["validate", "--model", str(model), "--data", str(data)]
+        else:
+            argv = [command, "--data", str(data), "--model-dir", str(tmp_path / "models")]
+        code, out = _run(capsys, *argv)
+        assert code == EXIT_RUNTIME
+        result = json.loads(out)
+        assert result["ok"] is False and named in result["error"]
+
     def test_gen_urls_to_stdout(self, capsys):
         code, out = _run(capsys, "gen", "urls", "-n", "20")
         assert code == EXIT_OK
@@ -205,6 +245,18 @@ class TestRun:
             proc.wait()
         events = [json.loads(line) for line in sink.read_text().splitlines()]
         assert [e["event_type"] for e in events] == ["BruteForce"]
+
+
+    def test_model_naming_url_risk_exits_at_start(self, tmp_path, url_risk_model_dir):
+        conf = tmp_path / "agent.conf"
+        conf.write_text(f"etd.model_dir = {url_risk_model_dir}\n"
+                        f"sink.file = {tmp_path / 'alerts.ndjson'}\n"
+                        f"dead_letter = {tmp_path / 'dead.ndjson'}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sentinel.cli", "run", "--config", str(conf)],
+            cwd=str(tmp_path), env=_python_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_RUNTIME
+        assert "url_risk" in proc.stderr
 
 
 def test_daemon_imports_only_what_it_runs():

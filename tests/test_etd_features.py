@@ -88,21 +88,32 @@ class TestExtract:
 class TestFeatureRow:
     def test_vector_order(self):
         row = FeatureRow(1, 2, 3, 4, 5, 6)
-        assert row.to_vector(MANDATORY_FEATURES) == [1, 2, 3, 4, 5, 6]
-
-    def test_optional_columns_in_dict(self):
-        row = FeatureRow(1, 2, 3, 4, 5, 6, repo_event_count=7, url_risk=8)
-        assert row.as_dict()["repo_event_count"] == 7
-        assert "url_risk" in row.as_dict()
-        assert "url_risk" not in FeatureRow(1, 2, 3, 4, 5, 6).as_dict()
-
-    def test_missing_feature_raises(self):
-        with pytest.raises(KeyError):
-            FeatureRow(1, 2, 3, 4, 5, 6).to_vector(["hour", "url_risk"])
+        assert MANDATORY_FEATURES == ("hour", "ip_numeric", "status", "failed_attempts",
+                                      "freq", "geo_distance")
+        assert list(row) == [1, 2, 3, 4, 5, 6]
+        assert row._asdict() == dict(zip(MANDATORY_FEATURES, [1, 2, 3, 4, 5, 6]))
 
     def test_csv_roundtrip(self, tmp_path):
-        rows = [FeatureRow(1, 2, 3, 4, 5, 6, repo_event_count=1, url_risk=50),
-                FeatureRow(9, 8, 7, 6, 5, 4, repo_event_count=0, url_risk=0)]
+        rows = [FeatureRow(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), FeatureRow(9.0, 8.0, 7.0, 6.0, 5.0, 0.1)]
         path = tmp_path / "rows.csv"
         save_feature_csv(str(path), rows)
+        assert path.read_text().splitlines()[0] == ",".join(MANDATORY_FEATURES)
         assert load_feature_csv(str(path)) == rows
+
+    @pytest.mark.parametrize("header, named", [
+        (",".join(MANDATORY_FEATURES) + ",url_risk", "url_risk"),
+        (",".join(MANDATORY_FEATURES[:5]), "geo_distance"),
+    ], ids=["extra-url_risk", "missing-geo_distance"])
+    def test_csv_header_must_be_the_six_features(self, tmp_path, header, named):
+        path = tmp_path / "rows.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * header.count(",")) + ",1\n")
+        with pytest.raises(ValueError, match=named):
+            load_feature_csv(str(path))
+
+    @pytest.mark.parametrize("cells", ["1,2,3,4,5,x", "1,2,3,4,5", "1,2,3,4,5,6,7",
+                                       "nan,2,3,4,5,6", "1,2,3,4,5,inf"])
+    def test_csv_row_must_be_six_numbers(self, tmp_path, cells):
+        path = tmp_path / "rows.csv"
+        path.write_text(",".join(MANDATORY_FEATURES) + "\n1,2,3,4,5,6\n" + cells + "\n")
+        with pytest.raises(ValueError, match=":3:"):
+            load_feature_csv(str(path))

@@ -37,7 +37,8 @@ class TestParseUrl:
             parse_url("not a url")
 
     def test_other_scheme(self):
-        assert parse_url("ftp://files.example.com/x").scheme == "other"
+        for url in ("ftp://files.example.com/x", "ws://a.example/", "WSS://a.example/"):
+            assert parse_url(url).scheme == "other"
 
     def test_host_lowercased(self):
         assert parse_url("http://EXAMPLE.com").host == "example.com"
@@ -290,8 +291,10 @@ class TestBlacklist:
 
     def test_backslash_does_not_hide_a_listed_host(self):
         bl = Blacklist(["evil.com"])
+        # ws, wss and ftp share the http(s) host rules (WHATWG URL Standard).
         for url in ("http://evil.com\\@paypal.com/login", "https://evil%2ecom/login",
-                    "http:evil.com/x"):
+                    "http:evil.com/x", "wss://evil.com\\@paypal.com/",
+                    "ftp://evil.com\\@paypal.com/", "ws://evil%2ecom/", "WS:\\\\evil.com/x"):
             verdict, event = evaluate_url(url, blacklist=bl)
             assert verdict.method is DetectionMethod.BLACKLIST and event is not None
 

@@ -438,27 +438,14 @@ class TestAgent:
         # nor buffered for retraining.
         assert len(agent._timed_rows) == 0
 
-    def test_unscorable_slice_is_counted_not_fatal(self, tmp_path):
+    def test_model_naming_a_feature_no_row_holds_is_refused(self, tmp_path,
+                                                             url_risk_model_dir):
         from sentinel.agent import Agent
-        from sentinel.etd.detector import train_model
-        from sentinel.etd.features import FeatureRow
-        from sentinel.harness import gen_normal_rows
+        from sentinel.retraining import CorruptArtifactError
 
-        # The streaming extractor never sets url_risk, so no slice can be scored.
-        rows = [FeatureRow(**row.as_dict(), url_risk=float(i % 7))
-                for i, row in enumerate(gen_normal_rows(300, seed=5))]
-        log = tmp_path / "auth.log"
-        log.write_text("\n".join(_burst_lines("203.0.113.7")) + "\n")
-        agent = Agent(_agent_config(tmp_path, log))
-        agent.registry.swap(train_model(rows, tree_count=10, trained_at=T0))
-        agent.start()
-        assert _wait_for(lambda: agent.unscored_slices == 1)
-        _wait_for(lambda: len(self._alerts(tmp_path, "BruteForce")) > 1, timeout=1.0)
-        agent.stop()
-        assert len(self._alerts(tmp_path, "BruteForce")) == 1
-        assert agent.unscored_slices == 1
-        assert len(agent._timed_rows) == 6  # still buffered for retraining
-        assert not agent._restart_log
+        # The streaming extractor never fills url_risk, so no slice could be scored.
+        with pytest.raises(CorruptArtifactError, match="url_risk"):
+            Agent(_agent_config(tmp_path))
 
     def test_url_feed_restart_retries_the_failed_line_only(self, tmp_path):
         from sentinel.agent import Agent
