@@ -107,9 +107,9 @@ class Agent:
             blacklist = Blacklist.load(cfg.phishing.blacklist_path)
         self.url_evaluator = UrlEvaluator(
             blacklist=blacklist,
-            weights=cfg.phishing.weights,
             brands=cfg.phishing.brands,
             keywords=cfg.phishing.keywords,
+            threshold=cfg.phishing.threshold,
         )
 
         # Built once, so that a monitor restarted after a crash resumes where

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .mitigation import MitigationPolicy
-from .phishing import DEFAULT_BRANDS, DEFAULT_KEYWORDS, HeuristicWeights
+from .phishing import DEFAULT_BRANDS, DEFAULT_KEYWORDS, DEFAULT_THRESHOLD
 from .retraining import RetrainConfig
 from .sinks import SinkConfig
 from .ssh_monitor import BruteForceConfig
@@ -77,9 +77,13 @@ def _given(**fields) -> dict:
 @dataclass
 class PhishingConfig:
     blacklist_path: Optional[str] = None
-    weights: HeuristicWeights = field(default_factory=HeuristicWeights)
+    threshold: int = DEFAULT_THRESHOLD
     brands: List[str] = field(default_factory=lambda: list(DEFAULT_BRANDS))
     keywords: List[str] = field(default_factory=lambda: list(DEFAULT_KEYWORDS))
+
+    def __post_init__(self):
+        if not 1 <= self.threshold <= 100:  # a score runs 0-100
+            raise ValueError("threshold must be in 1..100")
 
 
 @dataclass
@@ -142,8 +146,7 @@ class AgentConfig:
                 ssh_year=take("ssh.year", _year),
                 phishing=PhishingConfig(**_given(
                     blacklist_path=take("phish.blacklist_path"),
-                    weights=HeuristicWeights(**_given(
-                        flag_threshold=take("phish.threshold", int))),
+                    threshold=take("phish.threshold", int),
                     brands=take("phish.brands", _list),
                     keywords=take("phish.keywords", _list))),
                 etd=EtdConfig(**_given(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from ..ssh_monitor import SshAuthRecord
 from .geo import GeoTable
@@ -34,11 +34,9 @@ class StreamingFeatureExtractor:
     run of consecutive failures (for ``failed_attempts``).
     """
 
-    def __init__(self, geo: Optional[GeoTable] = None, freq_window_secs: float = 300.0,
-                 unknown_geo_distance: float = 0.0):
+    def __init__(self, geo: Optional[GeoTable] = None, freq_window_secs: float = 300.0):
         self.geo = geo
         self.freq_window_secs = freq_window_secs
-        self.unknown_geo_distance = unknown_geo_distance
         self._activity: dict = {}  # numeric ip -> deque of epochs
         self._fail_run: dict = {}  # numeric ip -> consecutive failure count
 
@@ -58,11 +56,9 @@ class StreamingFeatureExtractor:
             run = 0
             self._fail_run[key] = 0
 
-        distance = None
+        distance = 0.0  # also for an IP the geo table does not place
         if self.geo is not None:
-            distance = self.geo.distance_km(str(rec.ip))
-        if distance is None:
-            distance = self.unknown_geo_distance
+            distance = self.geo.distance_km(str(rec.ip)) or 0.0
 
         return FeatureRow(
             hour=float(rec.timestamp.hour()),
@@ -70,19 +66,8 @@ class StreamingFeatureExtractor:
             status=0.0 if rec.failed else 1.0,
             failed_attempts=float(run),
             freq=float(len(window)),
-            geo_distance=float(distance),
+            geo_distance=distance,
         )
-
-
-def extract_features(
-    records: Iterable[SshAuthRecord],
-    geo: Optional[GeoTable] = None,
-    freq_window_secs: float = 300.0,
-    unknown_geo_distance: float = 0.0,
-) -> List[FeatureRow]:
-    """One feature row per record, in input order (records must be time-ordered)."""
-    extractor = StreamingFeatureExtractor(geo, freq_window_secs, unknown_geo_distance)
-    return [extractor.extract(rec) for rec in records]
 
 
 def load_feature_csv(path: str) -> List[FeatureRow]:

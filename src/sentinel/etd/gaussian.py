@@ -148,7 +148,8 @@ def fit_gaussian(
 ) -> Tuple[NormalizationStats, GaussianModel]:
     """Fit the standardized Gaussian baseline and calibrate tau.
 
-    Requires at least d+2 rows after dropping constant columns.
+    Requires finite values, and at least d+2 rows after dropping constant
+    columns.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -156,6 +157,10 @@ def fit_gaussian(
     names = list(feature_names)
     if X.shape[1] != len(names):
         raise TrainingError(f"{len(names)} feature names for {X.shape[1]} columns")
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise TrainingError("a value that is not a finite number in column "
+                            + ", ".join(n for n, ok in zip(names, finite) if not ok))
 
     col_mean = X.mean(axis=0)
     col_std = X.std(axis=0, ddof=0)

@@ -1,12 +1,13 @@
 """URL risk scoring: blacklist lookup plus lexical heuristics.
 
-Scoring is stateless; a verdict depends only on the URL, the blacklist
-and the configured weights.  Scores run 0 (benign) to 100 (certain);
-a blacklist hit pins the score at 100.
+Scoring is stateless; a verdict depends only on the URL, the blacklist,
+the brands and keywords, and the fixed weights below.  Scores run 0
+(benign) to 100 (certain); a blacklist hit pins the score at 100.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
@@ -16,6 +17,18 @@ from .events import DetectionMethod, PhishingAlert, Timestamp
 
 DEFAULT_BRANDS = ["google.com", "microsoft.com", "apple.com", "paypal.com"]
 DEFAULT_KEYWORDS = ["login", "verify", "update"]
+DEFAULT_THRESHOLD = 70  # a URL scoring at least this raises an alert
+
+# Points each heuristic adds to a score.
+BRAND_SIMILARITY = 40
+FIRST_HOST_KEYWORD = 30
+EXTRA_HOST_KEYWORD = 15
+HOST_KEYWORD_CAP = 45
+PATH_KEYWORD = 10
+PLAIN_HTTP = 15
+MULTI_HYPHEN_DOMAIN = 25
+DEEP_SUBDOMAIN = 20
+PERCENT_ENCODING = 15
 
 _PCT_RE = re.compile(r"%[0-9A-Fa-f]{2}")
 _HOST_RE = re.compile(r"[a-z0-9._\-]+")
@@ -47,24 +60,6 @@ class UrlParts:
     percent_encoded_count: int
 
 
-@dataclass
-class HeuristicWeights:
-    brand_similarity: int = 40
-    first_host_keyword: int = 30
-    extra_host_keyword: int = 15
-    host_keyword_cap: int = 45
-    path_keyword: int = 10
-    plain_http: int = 15
-    multi_hyphen_domain: int = 25
-    deep_subdomain: int = 20
-    percent_encoding: int = 15
-    flag_threshold: int = 70
-
-    def __post_init__(self):
-        if not 1 <= self.flag_threshold <= 100:  # a score runs 0-100
-            raise ValueError("flag_threshold must be in 1..100")
-
-
 @dataclass(frozen=True)
 class PhishVerdict:
     url: str
@@ -78,8 +73,9 @@ class Blacklist:
 
     Entries are read as a blacklist file holds them: `#` starts a
     comment.  An entry is held in the form `parse_url` gives a host
-    (`_ascii_host`), so "Bücher.de." matches the host "xn--bcher-kva.de";
-    an entry that IDNA cannot encode names no host and is dropped.
+    (`_ascii_host`, or `_ipv6` for a bracketed one), so "Bücher.de."
+    matches the host "xn--bcher-kva.de" and "[2001:DB8:0::1]" the host
+    "[2001:db8::1]"; an entry that names no host is dropped.
     """
 
     def __init__(self, domains: Iterable[str] = ()):
@@ -89,7 +85,12 @@ class Blacklist:
             if "#" in name:
                 name = name.split("#", 1)[0].rstrip()
             name = name.removesuffix(".")
-            if not name.isascii():
+            if "[" in name:
+                try:
+                    name = _ipv6(name)
+                except ValueError:
+                    continue
+            elif not name.isascii():
                 try:
                     name = _ascii_host(name)
                 except UnicodeError:
@@ -124,6 +125,16 @@ def _ascii_host(name: str) -> str:
     return name[:-1] if name.endswith(".") else name
 
 
+def _ipv6(host: str) -> str:
+    """A bracketed IPv6 literal, with any port after it dropped, in its
+    compressed form: "[2001:DB8:0::1]:8443" is "[2001:db8::1]".  Raises
+    ValueError when the brackets hold no IPv6 address (a zone ID is none)."""
+    literal, bracket, port = host[1:].partition("]")
+    if host[0] != "[" or not bracket or port[:1] not in ("", ":") or "%" in literal:
+        raise ValueError(f"invalid IPv6 host: {host!r}")
+    return f"[{ipaddress.IPv6Address(literal).compressed}]"
+
+
 def _ipv4(host: str) -> str:
     """The WHATWG IPv4 parser: 1-4 parts, each decimal, octal (a leading
     0) or hex (0x), the last filling the bytes left; written as a dotted
@@ -151,10 +162,11 @@ def parse_url(text: str) -> UrlParts:
     An http, https, ws, wss or ftp URL is read as a browser reads it
     (WHATWG URL Standard, sections 3.5 and 4.4): "\\" is "/", the userinfo
     runs to the last "@", the port is dropped, and the host is
-    percent-decoded.  Other schemes go through `urlsplit`.  Either host
-    then follows `_ascii_host`, and a host whose last label is a number is
-    an IPv4 address, with no parent domains.  Raises InvalidUrlError when no
-    host can be read.
+    percent-decoded; a bracketed host is an IPv6 address (`_ipv6`).  Other
+    schemes go through `urlsplit`.  Either host then follows `_ascii_host`,
+    and a host whose last label is a number is an IPv4 address.  An IP
+    address has no parent domains.  Raises InvalidUrlError when no host
+    can be read.
     """
     # Unicode whitespace as before, then the C0 controls a browser strips.
     url = text.strip().strip(_C0_SPACE)
@@ -163,24 +175,31 @@ def parse_url(text: str) -> UrlParts:
     if "\t" in url or "\n" in url or "\r" in url:
         url = url.replace("\t", "").replace("\n", "").replace("\r", "")
     m = _SPECIAL_URL_RE.match(url)
+    registered = ""  # set here only for an IPv6 host
     try:
         if m is not None:
             scheme, authority, path, query = m.groups()
             scheme = scheme.lower() if scheme else "other"
             path = path.replace("\\", "/")
-            host = authority.rpartition("@")[2].partition(":")[0]
-            if "%" in host:
-                host = unquote_to_bytes(host).decode("utf-8")
+            host = authority.rpartition("@")[2]
+            if host.startswith("["):
+                host = registered = _ipv6(host)
+            else:
+                host = host.partition(":")[0]
+                if "%" in host:
+                    host = unquote_to_bytes(host).decode("utf-8")
+                host = _ascii_host(host)
         else:  # another scheme: the regex matches any of its schemes then ":"
             split = urlsplit(url)
             scheme, path, query = "other", split.path, split.query
-            host = split.hostname or ""
-        host = _ascii_host(host)
-    except ValueError as exc:  # an unclosed IPv6 bracket; UnicodeError
+            host = _ascii_host(split.hostname or "")
+    except ValueError as exc:  # a bad IPv6 literal; UnicodeError
         raise InvalidUrlError(f"unparseable URL ({exc}): {text!r}")
     if not host:
         raise InvalidUrlError(f"no host in URL: {text!r}")
-    if _NUMBER_RE.fullmatch(host, host.rfind(".") + 1):
+    if registered:
+        depth = 0
+    elif _NUMBER_RE.fullmatch(host, host.rfind(".") + 1):
         host = _ipv4(host)
         registered, depth = host, 0
     elif not _HOST_RE.fullmatch(host):
@@ -264,21 +283,14 @@ def check_blacklist(parts: UrlParts, blacklist: Blacklist) -> bool:
     return name in blacklist
 
 
-def heuristic_score(
-    parts: UrlParts,
-    weights: Optional[HeuristicWeights] = None,
-    brands: Optional[Sequence[str]] = None,
-    keywords: Optional[Sequence[str]] = None,
-) -> Tuple[int, List[str]]:
+def heuristic_score(parts: UrlParts, brands: Sequence[str],
+                    keywords: Sequence[str]) -> Tuple[int, List[str]]:
     """Score a URL by its lexical indicators; `brands` and `keywords`
     are lower case.
 
     Returns (score, names of triggered heuristics); score is capped
     at 100.
     """
-    w = weights or HeuristicWeights()
-    brands = DEFAULT_BRANDS if brands is None else brands
-    keywords = DEFAULT_KEYWORDS if keywords is None else keywords
     score = 0
     triggered: List[str] = []
 
@@ -299,83 +311,72 @@ def heuristic_score(
                 or brand[b:] in registered):
             continue
         if 1 <= levenshtein(registered, brand, 2) <= 2:
-            score += w.brand_similarity
+            score += BRAND_SIMILARITY
             triggered.append("brand_similarity")
             break
 
     host_hits = [kw for kw in keywords if kw in parts.host]
     if host_hits:
-        kw_score = w.first_host_keyword + w.extra_host_keyword * (len(host_hits) - 1)
-        score += min(kw_score, w.host_keyword_cap)
+        kw_score = FIRST_HOST_KEYWORD + EXTRA_HOST_KEYWORD * (len(host_hits) - 1)
+        score += min(kw_score, HOST_KEYWORD_CAP)
         triggered.append("host_keyword")
 
     path = parts.path.lower()
     if any(kw in path for kw in keywords):
-        score += w.path_keyword
+        score += PATH_KEYWORD
         triggered.append("path_keyword")
 
     if parts.scheme == "http":
-        score += w.plain_http
+        score += PLAIN_HTTP
         triggered.append("plain_http")
 
     leftmost = parts.registered_domain.split(".")[0]
     if leftmost.count("-") >= 2:
-        score += w.multi_hyphen_domain
+        score += MULTI_HYPHEN_DOMAIN
         triggered.append("multi_hyphen_domain")
 
     if parts.subdomain_depth >= 3:
-        score += w.deep_subdomain
+        score += DEEP_SUBDOMAIN
         triggered.append("deep_subdomain")
 
     if parts.percent_encoded_count >= 2:
-        score += w.percent_encoding
+        score += PERCENT_ENCODING
         triggered.append("percent_encoding")
 
     return min(score, 100), triggered
 
 
-def evaluate_url(
-    url: str,
-    blacklist: Optional[Blacklist] = None,
-    weights: Optional[HeuristicWeights] = None,
-    brands: Optional[Sequence[str]] = None,
-    keywords: Optional[Sequence[str]] = None,
-    clock: Callable[[], Timestamp] = Timestamp.now,
-) -> Tuple[PhishVerdict, Optional[PhishingAlert]]:
-    """Evaluate one URL; returns the verdict and, if flagged, the alert event.
-    `brands` and `keywords` are lower case; `clock` is read only to stamp
-    an alert.
-
-    Raises InvalidUrlError when no host can be extracted.
-    """
-    w = weights or HeuristicWeights()
-    parts = parse_url(url)
-    if blacklist is not None and check_blacklist(parts, blacklist):
-        verdict = PhishVerdict(url, 100, DetectionMethod.BLACKLIST, ("blacklist",))
-        return verdict, PhishingAlert(clock(), url, 100, DetectionMethod.BLACKLIST)
-    score, triggered = heuristic_score(parts, w, brands, keywords)
-    verdict = PhishVerdict(url, score, DetectionMethod.HEURISTIC, tuple(triggered))
-    event = None
-    if score >= w.flag_threshold:
-        event = PhishingAlert(clock(), url, score, DetectionMethod.HEURISTIC)
-    return verdict, event
-
-
 class UrlEvaluator:
-    """Convenience wrapper bundling the blacklist and heuristic config."""
+    """Scores URLs against a blacklist, brands, keywords and an alert
+    threshold; brands and keywords match in any case."""
 
     def __init__(
         self,
         blacklist: Optional[Blacklist] = None,
-        weights: Optional[HeuristicWeights] = None,
-        brands: Optional[Sequence[str]] = None,
-        keywords: Optional[Sequence[str]] = None,
+        brands: Sequence[str] = DEFAULT_BRANDS,
+        keywords: Sequence[str] = DEFAULT_KEYWORDS,
+        threshold: int = DEFAULT_THRESHOLD,
     ):
         self.blacklist = blacklist or Blacklist()
-        self.weights = weights or HeuristicWeights()
-        self.brands = [b.lower() for b in (DEFAULT_BRANDS if brands is None else brands)]
-        self.keywords = [k.lower() for k in (DEFAULT_KEYWORDS if keywords is None else keywords)]
+        self.brands = [b.lower() for b in brands]
+        self.keywords = [k.lower() for k in keywords]
+        self.threshold = threshold
 
-    def evaluate(self, url: str, clock: Callable[[], Timestamp] = Timestamp.now):
-        return evaluate_url(url, self.blacklist, self.weights,
-                            self.brands, self.keywords, clock=clock)
+    def evaluate(
+        self, url: str, clock: Callable[[], Timestamp] = Timestamp.now,
+    ) -> Tuple[PhishVerdict, Optional[PhishingAlert]]:
+        """Evaluate one URL; returns the verdict and, if flagged, the alert
+        event.  `clock` is read only to stamp an alert.
+
+        Raises InvalidUrlError when no host can be extracted.
+        """
+        parts = parse_url(url)
+        if check_blacklist(parts, self.blacklist):
+            verdict = PhishVerdict(url, 100, DetectionMethod.BLACKLIST, ("blacklist",))
+            return verdict, PhishingAlert(clock(), url, 100, DetectionMethod.BLACKLIST)
+        score, triggered = heuristic_score(parts, self.brands, self.keywords)
+        verdict = PhishVerdict(url, score, DetectionMethod.HEURISTIC, tuple(triggered))
+        event = None
+        if score >= self.threshold:
+            event = PhishingAlert(clock(), url, score, DetectionMethod.HEURISTIC)
+        return verdict, event

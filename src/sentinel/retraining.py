@@ -199,6 +199,7 @@ class ModelRegistry:
 
 _CRON_RANGES = ((0, 59), (0, 23), (1, 31), (1, 12), (0, 6))
 _LONGEST_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_INTERVAL_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400}  # seconds per "every" suffix
 
 
 @dataclass
@@ -214,17 +215,9 @@ class ScheduleSpec:
         text = text.strip()
         if text.startswith("every "):
             tail = text[len("every "):].strip()
+            scale = _INTERVAL_UNITS.get(tail[-1:])  # None: a bare number of seconds
             try:
-                if tail.endswith("s"):
-                    secs = float(tail[:-1])
-                elif tail.endswith("m"):
-                    secs = float(tail[:-1]) * 60
-                elif tail.endswith("h"):
-                    secs = float(tail[:-1]) * 3600
-                elif tail.endswith("d"):
-                    secs = float(tail[:-1]) * 86400
-                else:
-                    secs = float(tail)
+                secs = float(tail[:-1]) * scale if scale else float(tail)
             except ValueError:
                 raise ScheduleError(f"bad interval spec: {text!r}")
             if secs <= 0:

@@ -7,6 +7,7 @@ log with the failure reason.
 
 from __future__ import annotations
 
+import json
 import logging
 import sys
 import threading
@@ -60,12 +61,7 @@ class DeadLetterLog:
             self.count += 1
             with open(self.path, "a") as fh:
                 fh.write('{"reason": %s, "event": %s}\n'
-                         % (_json_str(reason), payload))
-
-
-def _json_str(text: str) -> str:
-    import json
-    return json.dumps(text)
+                         % (json.dumps(reason), payload))
 
 
 class StdoutSink:

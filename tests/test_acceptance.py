@@ -20,7 +20,7 @@ from sentinel.etd.detector import score_event, train_model
 from sentinel.etd.gaussian import fit_gaussian, mahalanobis_score, mahalanobis_scores
 from sentinel.events import IpAddress, Timestamp
 from sentinel.harness import Burst, Scenario, bench, gen_etd_stream, gen_normal_rows, gen_ssh_logs
-from sentinel.phishing import Blacklist, evaluate_url
+from sentinel.phishing import Blacklist, UrlEvaluator
 from sentinel.retraining import (
     ModelRegistry,
     RetrainConfig,
@@ -70,14 +70,15 @@ def test_criterion_1_event_json_fidelity():
         assert len(events) == 1
         assert events[0].to_dict() == _golden("golden_brute_force.json")
 
-        _, alert = evaluate_url("http://secure-updates-login.com",
-                                clock=lambda: Timestamp.parse("2025-02-13T09:11:45Z"))
+        _, alert = UrlEvaluator().evaluate(
+            "http://secure-updates-login.com",
+            clock=lambda: Timestamp.parse("2025-02-13T09:11:45Z"))
         assert alert is not None
         assert alert.to_dict() == _golden("golden_phishing_heuristic.json")
 
-        _, alert = evaluate_url("http://fake-bank-login.com",
-                                blacklist=Blacklist(["fake-bank-login.com"]),
-                                clock=lambda: Timestamp.parse("2025-02-12T16:45:10Z"))
+        _, alert = UrlEvaluator(blacklist=Blacklist(["fake-bank-login.com"])).evaluate(
+            "http://fake-bank-login.com",
+            clock=lambda: Timestamp.parse("2025-02-12T16:45:10Z"))
         assert alert is not None
         assert alert.to_dict() == _golden("golden_phishing_blacklist.json")
 

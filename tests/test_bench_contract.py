@@ -29,3 +29,18 @@ def test_traced_entry_point_resolves(name):
         owner = getattr(owner, part)
     found = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
     assert found, f"{name}: {module_name}.{attr_path} is gone"
+
+
+def test_phishing_spans_see_the_module_globals(monkeypatch):
+    # The tracer times parse_url and levenshtein by rebinding them on the
+    # module; a scorer that held its own reference would leave both spans
+    # empty without any error.
+    import sentinel.phishing as phishing
+
+    calls = []
+    for name in ("parse_url", "levenshtein"):
+        fn = getattr(phishing, name)
+        monkeypatch.setattr(phishing, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    phishing.UrlEvaluator().evaluate("http://paypa1.com/login")
+    assert calls.count("parse_url") == 1 and "levenshtein" in calls

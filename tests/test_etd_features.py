@@ -8,7 +8,6 @@ from sentinel.etd.features import (
     FeatureRow,
     MANDATORY_FEATURES,
     StreamingFeatureExtractor,
-    extract_features,
     load_feature_csv,
     save_feature_csv,
 )
@@ -19,6 +18,11 @@ from sentinel.ssh_monitor import SshAuthRecord
 def _rec(iso, ip, status):
     return SshAuthRecord(Timestamp.parse(iso), "u", IpAddress.parse(ip), 22,
                          status, False, "")
+
+
+def _extract(records, geo=None, freq_window_secs=300.0):
+    extractor = StreamingFeatureExtractor(geo, freq_window_secs)
+    return [extractor.extract(rec) for rec in records]
 
 
 class TestGeoTable:
@@ -46,8 +50,7 @@ class TestGeoTable:
 class TestExtract:
     def test_single_accepted_record(self):
         geo = GeoTable([("192.168.0.0/16", 0.0, 0.0)], centroid=(0.0, 0.0))
-        rows = extract_features([_rec("2025-02-12T15:23:01Z", "192.168.1.12", "accepted")],
-                                geo=geo)
+        rows = _extract([_rec("2025-02-12T15:23:01Z", "192.168.1.12", "accepted")], geo=geo)
         row = rows[0]
         assert row.hour == 15
         assert row.ip_numeric == 3232235788
@@ -63,14 +66,13 @@ class TestExtract:
             _rec("2025-02-12T10:00:02Z", "1.2.3.4", "failed"),
             _rec("2025-02-12T10:00:03Z", "1.2.3.4", "accepted"),
         ]
-        rows = extract_features(recs)
+        rows = _extract(recs)
         assert [r.failed_attempts for r in rows] == [1, 2, 3, 0]
 
     def test_unknown_ip_uses_imputed_distance(self):
         geo = GeoTable([], centroid=(0.0, 0.0))
-        rows = extract_features([_rec("2025-02-12T10:00:00Z", "8.8.8.8", "accepted")],
-                                geo=geo, unknown_geo_distance=123.0)
-        assert rows[0].geo_distance == 123.0
+        rows = _extract([_rec("2025-02-12T10:00:00Z", "8.8.8.8", "accepted")], geo=geo)
+        assert rows[0].geo_distance == 0.0
         assert geo.misses == 1
 
     def test_freq_matches_recount_oracle(self):
@@ -81,7 +83,7 @@ class TestExtract:
             t = t.add_seconds(rng.uniform(0, 20))
             ip = rng.choice(["1.1.1.1", "2.2.2.2", "3.3.3.3"])
             recs.append(_rec(t.isoformat(), ip, rng.choice(["failed", "accepted"])))
-        rows = extract_features(recs, freq_window_secs=300)
+        rows = _extract(recs, freq_window_secs=300)
         assert [r.freq for r in rows] == freq_recount(recs, 300)
 
 

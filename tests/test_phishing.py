@@ -6,17 +6,23 @@ from oracles import blacklist_entries, levenshtein_recursive, urlsplit_url_parts
 from sentinel.events import DetectionMethod, Timestamp
 from sentinel.harness import Scenario, gen_urls
 from sentinel.phishing import (
+    DEFAULT_BRANDS,
+    DEFAULT_KEYWORDS,
+    HOST_KEYWORD_CAP,
+    MULTI_HYPHEN_DOMAIN,
     Blacklist,
-    HeuristicWeights,
     InvalidUrlError,
     UrlEvaluator,
     UrlParts,
     check_blacklist,
-    evaluate_url,
     heuristic_score,
     levenshtein,
     parse_url,
 )
+
+
+def default_score(parts):
+    return heuristic_score(parts, DEFAULT_BRANDS, DEFAULT_KEYWORDS)
 
 
 class TestParseUrl:
@@ -50,7 +56,8 @@ class TestParseUrl:
         assert parts.subdomain_depth == 1
 
     @pytest.mark.parametrize("url", [
-        "http://./", "http://[::1/", "http://a b.com/", "http://[::1]/",
+        "http://./", "http://[::1/", "http://a b.com/", "http://[zz]/",
+        "http://[::1]x/", "http://[fe80::1%25eth0]/",  # no IPv6 address in brackets
         "http://evil%ff.com/",            # a percent-decoded host that is not UTF-8
         "http://evil.com%40paypal.com/",  # a decoded "@" is no host character
         "http://evil.123/",               # a numeric last label, not an address
@@ -109,6 +116,13 @@ class TestParseUrl:
             parts = parse_url(url)
             assert (parts.host, parts.registered_domain, parts.subdomain_depth) == \
                 ("1.2.3.4", "1.2.3.4", 0)
+
+    def test_ipv6_host_is_its_own_domain(self):
+        for url in ("http://[2001:db8::1]/login", "https://[2001:DB8:0:0::1]:8443/x",
+                    "wss://u@[2001:db8:0:0:0:0:0:1]"):
+            parts = parse_url(url)
+            assert (parts.host, parts.registered_domain, parts.subdomain_depth) == \
+                ("[2001:db8::1]", "[2001:db8::1]", 0)
 
     labels = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCXYZ0123456789-_",
                      min_size=1, max_size=8)
@@ -234,13 +248,13 @@ class TestBlacklist:
 
     def test_trailing_dot_host_still_listed(self):
         bl = Blacklist(["evil.example"])
-        verdict, event = evaluate_url("http://evil.example./a", blacklist=bl)
+        verdict, event = UrlEvaluator(blacklist=bl).evaluate("http://evil.example./a")
         assert verdict.score == 100 and event is not None
 
     def test_fully_qualified_entry_listed(self):
         bl = Blacklist(["evil.example.", "Bad.Example. "])
         for url in ("http://evil.example/a", "http://evil.example./a", "http://x.bad.example/"):
-            verdict, event = evaluate_url(url, blacklist=bl)
+            verdict, event = UrlEvaluator(blacklist=bl).evaluate(url)
             assert verdict.score == 100 and event is not None
         assert len(bl) == 2 and "evil.example" in bl
 
@@ -274,7 +288,7 @@ class TestBlacklist:
             assert len(bl) == 1 and "xn--bcher-kva.de" in bl
             for url in ("http://b\u00fccher.de/login", "https://www.B\u00dcCHER.de./",
                         "http://xn--bcher-kva.de/"):
-                verdict, event = evaluate_url(url, blacklist=bl)
+                verdict, event = UrlEvaluator(blacklist=bl).evaluate(url)
                 assert verdict.method is DetectionMethod.BLACKLIST and event is not None
 
     def test_entry_idna_cannot_encode_is_dropped(self):
@@ -283,11 +297,20 @@ class TestBlacklist:
 
     def test_ipv4_entry_matches_only_its_address(self):
         bl = Blacklist(["3.4", "10.0.0.1"])
-        verdict, event = evaluate_url("http://1.2.3.4/x", blacklist=bl)
+        verdict, event = UrlEvaluator(blacklist=bl).evaluate("http://1.2.3.4/x")
         assert verdict.method is DetectionMethod.HEURISTIC and event is None
         for url in ("http://10.0.0.1/x", "http://167772161/x", "http://0xa.1/x"):
-            verdict, event = evaluate_url(url, blacklist=bl)
+            verdict, event = UrlEvaluator(blacklist=bl).evaluate(url)
             assert verdict.score == 100 and verdict.method is DetectionMethod.BLACKLIST
+
+    def test_ipv6_entry_matches_its_address_in_any_spelling(self):
+        bl = Blacklist(["[2001:DB8:0::1]", "[zz]"])
+        assert len(bl) == 1
+        for url in ("http://[2001:db8::1]/login", "https://[2001:db8:0:0:0:0:0:1]:8443/x"):
+            verdict, event = UrlEvaluator(blacklist=bl).evaluate(url)
+            assert verdict.method is DetectionMethod.BLACKLIST and event is not None
+        verdict, _ = UrlEvaluator(blacklist=bl).evaluate("http://[2001:db8::2]/")
+        assert verdict.method is DetectionMethod.HEURISTIC
 
     def test_backslash_does_not_hide_a_listed_host(self):
         bl = Blacklist(["evil.com"])
@@ -295,7 +318,7 @@ class TestBlacklist:
         for url in ("http://evil.com\\@paypal.com/login", "https://evil%2ecom/login",
                     "http:evil.com/x", "wss://evil.com\\@paypal.com/",
                     "ftp://evil.com\\@paypal.com/", "ws://evil%2ecom/", "WS:\\\\evil.com/x"):
-            verdict, event = evaluate_url(url, blacklist=bl)
+            verdict, event = UrlEvaluator(blacklist=bl).evaluate(url)
             assert verdict.method is DetectionMethod.BLACKLIST and event is not None
 
 
@@ -321,39 +344,38 @@ def brand_and_lookalike(draw):
 
 class TestHeuristicScore:
     def test_calibrated_example_scores_85(self):
-        score, triggered = heuristic_score(parse_url("http://secure-updates-login.com"))
+        score, triggered = default_score(parse_url("http://secure-updates-login.com"))
         assert score == 85
         assert set(triggered) == {"host_keyword", "plain_http", "multi_hyphen_domain"}
 
     def test_clean_https_scores_zero(self):
-        score, triggered = heuristic_score(parse_url("https://example.com"))
+        score, triggered = default_score(parse_url("https://example.com"))
         assert score == 0 and triggered == []
 
     def test_brand_plus_http_plus_path_keyword(self):
-        score, triggered = heuristic_score(parse_url("http://g00gle.com/login"))
+        score, triggered = default_score(parse_url("http://g00gle.com/login"))
         assert score == 40 + 15 + 10
         assert set(triggered) == {"brand_similarity", "plain_http", "path_keyword"}
 
     def test_host_keyword_cap(self):
         # login + verify + update all in host: 30 + 15 + 15 capped at 45
         parts = parse_url("https://login-verify-update.net")
-        score, _ = heuristic_score(parts)
-        w = HeuristicWeights()
-        assert score == w.host_keyword_cap + w.multi_hyphen_domain
+        score, _ = default_score(parts)
+        assert score == HOST_KEYWORD_CAP + MULTI_HYPHEN_DOMAIN
 
     def test_score_bounded_and_cap_at_100(self):
         parts = parse_url("http://a.b.c.login-verify-g00gle.com/login?x=%20%3F")
-        score, _ = heuristic_score(parts, brands=["login-verify-g0gle.com"])
+        score, _ = heuristic_score(parts, ["login-verify-g0gle.com"], DEFAULT_KEYWORDS)
         assert 0 <= score <= 100
 
     def test_trailing_dot_lookalike(self):
-        _, triggered = heuristic_score(parse_url("https://paypa1.com."))
+        _, triggered = default_score(parse_url("https://paypa1.com."))
         assert triggered == ["brand_similarity"]
 
     def test_http_never_decreases_score(self):
         for suffix in ["example.com", "a.b.c.d.login-site.com/verify?%20%21"]:
-            https, _ = heuristic_score(parse_url("https://" + suffix))
-            http, _ = heuristic_score(parse_url("http://" + suffix))
+            https, _ = default_score(parse_url("https://" + suffix))
+            http, _ = default_score(parse_url("http://" + suffix))
             assert http >= https
 
     @settings(max_examples=500, deadline=None)
@@ -361,7 +383,7 @@ class TestHeuristicScore:
     def test_brand_verdict_matches_the_oracle(self, pair):
         brand, reg = pair
         parts = UrlParts("https", reg, reg, 0, "", "", 0)
-        _, triggered = heuristic_score(parts, brands=[brand], keywords=[])
+        _, triggered = heuristic_score(parts, [brand], [])
         assert ("brand_similarity" in triggered) == (1 <= levenshtein_recursive(reg, brand) <= 2)
 
     def test_benign_urls_skip_the_edit_distance(self, monkeypatch):
@@ -373,7 +395,7 @@ class TestHeuristicScore:
         exact = phishing.levenshtein
         monkeypatch.setattr(phishing, "levenshtein", lambda *args: calls.append(1) or exact(*args))
         for url in benign:
-            heuristic_score(parse_url(url))
+            default_score(parse_url(url))
         assert len(benign) == 1624
         assert len(calls) <= 100  # 0 measured
 
@@ -381,31 +403,31 @@ class TestHeuristicScore:
 class TestEvaluateUrl:
     def test_blacklisted_is_100(self):
         bl = Blacklist(["fake-bank-login.com"])
-        verdict, event = evaluate_url("http://fake-bank-login.com", blacklist=bl)
+        verdict, event = UrlEvaluator(blacklist=bl).evaluate("http://fake-bank-login.com")
         assert verdict.score == 100
         assert verdict.method is DetectionMethod.BLACKLIST
         assert verdict.triggered == ("blacklist",)
         assert event is not None and event.detection_method is DetectionMethod.BLACKLIST
 
     def test_heuristic_event_above_threshold(self):
-        verdict, event = evaluate_url("http://secure-updates-login.com")
+        verdict, event = UrlEvaluator().evaluate("http://secure-updates-login.com")
         assert verdict.score == 85
         assert event is not None and event.score == 85
         assert event.detection_method is DetectionMethod.HEURISTIC
 
     def test_benign_no_event(self):
-        verdict, event = evaluate_url("https://example.com")
+        verdict, event = UrlEvaluator().evaluate("https://example.com")
         assert verdict.score == 0 and event is None
 
     def test_stateless(self):
         now = Timestamp.parse("2025-02-13T09:11:45Z")
-        first = evaluate_url("http://secure-updates-login.com", clock=lambda: now)
-        second = evaluate_url("http://secure-updates-login.com", clock=lambda: now)
+        first = UrlEvaluator().evaluate("http://secure-updates-login.com", clock=lambda: now)
+        second = UrlEvaluator().evaluate("http://secure-updates-login.com", clock=lambda: now)
         assert first == second
 
     def test_invalid_url_raises_without_event(self):
         with pytest.raises(InvalidUrlError):
-            evaluate_url("not a url")
+            UrlEvaluator().evaluate("not a url")
 
 
 class TestUrlEvaluator:
@@ -416,6 +438,11 @@ class TestUrlEvaluator:
         _, a = ev.evaluate("http://secure-updates-login.com", clock=lambda: first)
         _, b = ev.evaluate("http://secure-updates-login.com", clock=lambda: second)
         assert a.timestamp == first and b.timestamp == second
+
+    def test_alert_at_the_threshold_and_above(self):
+        for threshold, alerted in ((85, True), (86, False)):
+            _, event = UrlEvaluator(threshold=threshold).evaluate("http://secure-updates-login.com")
+            assert (event is not None) is alerted
 
     def test_brands_and_keywords_any_case(self):
         ev = UrlEvaluator(brands=["PayPal.com"], keywords=["LOGIN"])

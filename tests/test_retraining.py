@@ -76,6 +76,14 @@ class TestRetrain:
         assert not report.accepted
         assert report.holdout_flag_rate > cfg.max_holdout_flag_rate
 
+    def test_non_finite_value_is_error(self):
+        rows = gen_normal_rows(400, seed=6)
+        rows[7] = rows[7]._replace(hour=float("nan"))
+        with pytest.raises(TrainingError, match="hour"):
+            train_model(rows, trained_at=T0)
+        with pytest.raises(TrainingError, match="hour"):
+            retrain(_timed(rows), RetrainConfig(), trained_at=T0)
+
     def test_empty_holdout_is_error(self):
         rows = _timed(gen_normal_rows(3, seed=5))
         with pytest.raises(TrainingError):
@@ -292,7 +300,8 @@ class TestSchedule:
         third = next(gen)
         assert third == Timestamp.parse("2025-06-01T07:00:00Z")
 
-    @pytest.mark.parametrize("spec", ["61 * * * *", "* * *", "a b c d e", "every -5s"])
+    @pytest.mark.parametrize("spec", ["61 * * * *", "* * *", "a b c d e", "every -5s",
+                                      "every 5x", "every s"])
     def test_malformed_spec_rejected(self, spec):
         with pytest.raises(ScheduleError):
             ScheduleSpec.parse(spec)
@@ -317,3 +326,5 @@ class TestSchedule:
     def test_interval_parse_units(self):
         assert ScheduleSpec.parse("every 2h").interval_secs == 7200
         assert ScheduleSpec.parse("every 1d").interval_secs == 86400
+        assert ScheduleSpec.parse("every 5").interval_secs == 5
+        assert ScheduleSpec.parse("every 1.5m").interval_secs == 90

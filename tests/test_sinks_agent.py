@@ -312,7 +312,7 @@ class TestAgent:
 
     def test_row_buffer_keeps_newest_rows_at_cap(self, tmp_path, monkeypatch):
         from sentinel.agent import Agent
-        from sentinel.etd.features import extract_features
+        from sentinel.etd.features import StreamingFeatureExtractor
         from sentinel.harness import Burst, Scenario, gen_ssh_logs
         from sentinel.ssh_monitor import parse_ssh_line
 
@@ -327,7 +327,8 @@ class TestAgent:
         for start in range(0, len(records), 97):
             agent._score_records(records[start:start + 97])
 
-        rows = extract_features(records, freq_window_secs=cfg.etd.freq_window_secs)
+        extractor = StreamingFeatureExtractor(freq_window_secs=cfg.etd.freq_window_secs)
+        rows = [extractor.extract(rec) for rec in records]
         newest = list(zip((rec.timestamp for rec in records), rows))[-300:]
         assert list(agent._timed_rows) == newest
         assert agent.retrain_now(records[-1].timestamp)
@@ -616,7 +617,7 @@ class TestConfig:
         default = AgentConfig.from_values({"sink.stdout": "true"})
         assert dataclasses.replace(cfg.ssh, whitelist=set()) == default.ssh
         assert dataclasses.replace(cfg.etd, geo_table_path=None) == default.etd
-        assert cfg.phishing.weights == default.phishing.weights
+        assert cfg.phishing.threshold == default.phishing.threshold
         assert (cfg.phishing.brands, cfg.phishing.keywords) == \
             (default.phishing.brands, default.phishing.keywords)
         assert (cfg.retrain, cfg.mitigation, cfg.ssh_year, cfg.dead_letter_path) == \
