@@ -14,10 +14,12 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from .config import AgentConfig
-from .events import SecurityEvent, Timestamp, serialize_event
+from .events import BruteForce, SecurityEvent, Timestamp, serialize_event
 from .etd.detector import detect_batch
 from .etd.features import StreamingFeatureExtractor
 from .etd.geo import GeoTable
@@ -27,6 +29,7 @@ from .etd.gaussian import TrainingError
 from .retraining import (
     ModelRegistry,
     NoModelError,
+    RowBuffer,
     load_current,
     persist_artifact,
     retrain,
@@ -34,7 +37,7 @@ from .retraining import (
     select_window,
 )
 from .sinks import DeadLetterLog, build_sink, dispatch_alert
-from .ssh_monitor import BruteForceDetector, TailSource, parse_ssh_line
+from .ssh_monitor import BruteForceDetector, TailSource, auth_match
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +57,40 @@ POLL_SECS = 0.2
 # that neither record grows with the daemon's uptime.
 MITIGATIONS_KEPT = 1000
 RESTARTS_KEPT = 100
+
+
+def scan_slice(
+    lines: deque,
+    limit: int,
+    detector: BruteForceDetector,
+    extractor: StreamingFeatureExtractor,
+    events: List[BruteForce],
+    year: Optional[int] = None,
+    clock: Optional[Callable[[], Timestamp]] = None,
+) -> Tuple[List[Timestamp], np.ndarray]:
+    """Take lines off the front of ``lines`` until ``limit`` auth records
+    are read or none is left, in one pass: each record is parsed, windowed
+    and featurized as ``parse_ssh_line``, ``BruteForceDetector.ingest`` and
+    ``StreamingFeatureExtractor.extract`` do it, with no object per record
+    but its timestamp.  Appends each BruteForce event to ``events`` as it
+    is raised, so a caller keeps those raised before an exception.
+    Returns the records' timestamps and an (n, 7) float64 array of each
+    record's epoch and six feature values."""
+    stats = detector.stats
+    stamps, values = [], []
+    while lines and len(stamps) < limit:
+        fields = auth_match(lines.popleft(), year, stats, clock)
+        if fields is None:
+            continue
+        m, (ts, now, hour), (ip, key) = fields
+        failed = m["failed"] is not None
+        event = detector.observe(ts, now, ip, key, failed)
+        if event is not None:
+            events.append(event)
+        stamps.append(ts)
+        values.append(now)
+        values.extend(extractor.observe(now, hour, ip, key, failed))
+    return stamps, np.array(values, dtype=float).reshape(-1, 7)
 
 
 class _Supervised(threading.Thread):
@@ -90,8 +127,7 @@ class Agent:
     def __init__(self, cfg: AgentConfig, clock=Timestamp.now):
         self.cfg = cfg
         self.clock = clock
-        self._timed_rows: deque = deque(maxlen=self.ROW_BUFFER_LIMIT)
-        self._rows_lock = threading.Lock()  # the ssh monitor appends while retrain copies
+        self._rows = RowBuffer(self.ROW_BUFFER_LIMIT)  # (epoch, features) for retraining
         self.stop_event = threading.Event()
         self.queue: "queue.Queue" = queue.Queue(maxsize=QUEUE_CAPACITY)
         self.dead_letter = DeadLetterLog(cfg.dead_letter_path)
@@ -172,35 +208,32 @@ class Agent:
         if self.ssh_source is None:
             self.stop_event.wait()
             return
-        lines, detector, year = self._ssh_lines, self.brute_force, self.cfg.ssh_year
         while not self.stop_event.is_set():
-            lines.extend(self.ssh_source.poll())
-            pending = []
-            while lines:
-                rec = parse_ssh_line(lines.popleft(), year=year, stats=detector.stats,
-                                     clock=self.clock)
-                if rec is None:
-                    continue
-                event = detector.ingest(rec)
-                if event is not None:
-                    self.emit(event)
-                pending.append(rec)
-                if len(pending) == SCORE_SLICE:
-                    self._score_records(pending)
-                    pending = []
-            if pending:
-                self._score_records(pending)
+            self._ssh_lines.extend(self.ssh_source.poll())
+            self._ingest(self._ssh_lines)
             self.stop_event.wait(POLL_SECS)
 
-    def _score_records(self, records) -> None:
-        """Buffer the records' feature rows for retraining and emit an
-        EmergentThreat for each one the live model flags."""
-        rows = [self.feature_extractor.extract(rec) for rec in records]
-        stamps = [rec.timestamp for rec in records]
-        with self._rows_lock:
-            self._timed_rows.extend(zip(stamps, rows))
+    def _ingest(self, lines: deque) -> None:
+        """Take every line off ``lines``, in slices of at most SCORE_SLICE
+        auth records: emit each slice's BruteForce events, then score it."""
+        while lines:
+            events: List[BruteForce] = []
+            try:
+                stamps, block = scan_slice(lines, SCORE_SLICE, self.brute_force,
+                                           self.feature_extractor, events, self.cfg.ssh_year,
+                                           self.clock)
+            finally:  # a slice that raises still alerts on what it windowed
+                for event in events:
+                    self.emit(event)
+            if stamps:
+                self._score_slice(stamps, block)
+
+    def _score_slice(self, stamps: List[Timestamp], block: np.ndarray) -> None:
+        """Buffer a slice's (epoch, features) rows for retraining and emit an
+        EmergentThreat for each row the live model flags."""
+        self._rows.extend(block)
         try:
-            events = detect_batch(self.registry.get(), rows, stamps)
+            events = detect_batch(self.registry.get(), block[:, 1:], stamps)
         except NoModelError:
             return
         for event in events:
@@ -264,10 +297,8 @@ class Agent:
         passes validation.  Returns True when a new model went live."""
         now = now or self.clock()
         try:
-            with self._rows_lock:
-                buffered = list(self._timed_rows)
-            window = select_window(buffered, now, self.cfg.retrain.window_days)
-            artifact, report = retrain(window, self.cfg.retrain, trained_at=now)
+            epochs, rows = select_window(*self._rows.arrays(), now, self.cfg.retrain.window_days)
+            artifact, report = retrain(epochs, rows, self.cfg.retrain, trained_at=now)
         except TrainingError as exc:
             log.warning("retrain aborted: %s", exc)
             return False

@@ -8,6 +8,8 @@ import signal
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import AgentConfig, ConfigError
 from .events import Timestamp
 from .etd.detector import score_batch, train_model
@@ -111,9 +113,8 @@ def cmd_train(args) -> int:
 def cmd_retrain(args) -> int:
     rows = load_feature_csv(args.data)
     cfg = RetrainConfig(quantile=args.quantile, holdout_fraction=args.holdout)
-    now = Timestamp.now()
-    timed = [(now.add_seconds(i - len(rows)), row) for i, row in enumerate(rows)]
-    artifact, report = retrain(timed, cfg, trained_at=now)
+    # The rows' order in the file is their time order.
+    artifact, report = retrain(np.arange(len(rows)), rows, cfg, trained_at=Timestamp.now())
     result = {
         "version": artifact.version,
         "accepted": report.accepted,

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from .mitigation import MitigationPolicy
 from .phishing import DEFAULT_BRANDS, DEFAULT_KEYWORDS, DEFAULT_THRESHOLD
-from .retraining import RetrainConfig
+from .retraining import RetrainConfig, ScheduleSpec
 from .sinks import SinkConfig
 from .ssh_monitor import BruteForceConfig
 
@@ -67,6 +67,11 @@ def _year(raw: str) -> Optional[int]:
     if not 1 <= year <= 9999:
         raise ValueError(f"expected 0 (no year) or 1-9999, got {year}")
     return year
+
+
+def _schedule(raw: str) -> str:
+    ScheduleSpec.parse(raw)  # so that the error names the key
+    return raw
 
 
 def _given(**fields) -> dict:
@@ -158,7 +163,7 @@ class AgentConfig:
                     window_days=take("etd.window_days", int),
                     holdout_fraction=take("etd.holdout_fraction", float),
                     quantile=take("etd.quantile", float),
-                    schedule=take("etd.schedule"))),
+                    schedule=take("etd.schedule", _schedule))),
                 sinks=sinks,
                 mitigation=MitigationPolicy(**_given(
                     enabled=take("mitigation.enabled", _bool),

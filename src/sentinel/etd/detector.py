@@ -29,6 +29,7 @@ from .gaussian import (
 from .iforest import IsolationForestModel, build_iforest, iforest_scores
 
 DEFAULT_IFOREST_THRESHOLD = 0.7
+_IP_COLUMN = MANDATORY_FEATURES.index("ip_numeric")
 
 
 @dataclass
@@ -142,10 +143,11 @@ def train_model(
     training_window_days: int = 30,
     trained_at: Optional[Timestamp] = None,
 ) -> ModelArtifact:
-    """Fit normalization, Gaussian baseline (with tau) and isolation forest."""
-    if not rows:
+    """Fit normalization, Gaussian baseline (with tau) and isolation forest
+    on ``rows``, a sequence of feature rows or an (n, 6) array."""
+    if len(rows) == 0:
         raise TrainingError("no training rows")
-    X = np.array(rows, dtype=float)
+    X = np.asarray(rows, dtype=float)
     stats, gaussian = fit_gaussian(X, MANDATORY_FEATURES, q=q)
     keep = [MANDATORY_FEATURES.index(n) for n in stats.feature_names]
     Z = stats.normalize(X[:, keep])
@@ -166,14 +168,15 @@ def train_model(
 
 
 def score_batch(artifact: ModelArtifact, rows: Sequence[FeatureRow]) -> List[ScoreResult]:
-    """Score feature rows against the artifact in one pass.
+    """Score feature rows, a sequence or an (n, 6) array, against the
+    artifact in one pass.
 
     Both thresholds are strict: a score exactly at the threshold is not
     anomalous.
     """
-    if not rows:
+    if len(rows) == 0:
         return []
-    X = np.array(rows, dtype=float)[:, artifact.columns]
+    X = np.asarray(rows, dtype=float)[:, artifact.columns]
     Z = artifact.stats.normalize(X)
     mahal = mahalanobis_scores(artifact.gaussian, Z).tolist()
     forest = iforest_scores(artifact.iforest, Z).tolist()
@@ -200,17 +203,21 @@ def detect_batch(
     rows: Sequence[FeatureRow],
     timestamps: Sequence[Timestamp],
 ) -> List[EmergentThreat]:
-    """Score ``rows`` as one batch; one EmergentThreat per anomalous row,
-    stamped with its row's entry in ``timestamps``."""
+    """Score ``rows``, a sequence or an (n, 6) array, as one batch; one
+    EmergentThreat per anomalous row, stamped with its row's entry in
+    ``timestamps``."""
+    rows = np.asarray(rows, dtype=float)
+    if len(timestamps) != len(rows):
+        raise ValueError(f"{len(timestamps)} timestamps for {len(rows)} rows")
     return [
         EmergentThreat(
-            timestamp=ts,
-            ip=IpAddress.from_numeric(int(row.ip_numeric)),
+            timestamp=timestamps[i],
+            ip=IpAddress.from_numeric(int(rows[i, _IP_COLUMN])),
             anomaly_score=result.anomaly_score,
-            features=row._asdict(),
+            features=dict(zip(MANDATORY_FEATURES, rows[i].tolist())),
             detector=result.detector,
             model_version=artifact.version,
         )
-        for ts, row, result in zip(timestamps, rows, score_batch(artifact, rows), strict=True)
+        for i, result in enumerate(score_batch(artifact, rows))
         if result.is_anomalous
     ]

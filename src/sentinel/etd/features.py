@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from ..events import IpAddress
 from ..ssh_monitor import SshAuthRecord
 from .geo import GeoTable
 
@@ -41,15 +42,20 @@ class StreamingFeatureExtractor:
         self._fail_run: dict = {}  # numeric ip -> consecutive failure count
 
     def extract(self, rec: SshAuthRecord) -> FeatureRow:
-        key = rec.ip.to_numeric()
-        now = rec.timestamp.epoch()
+        return FeatureRow._make(self.observe(rec.timestamp.epoch(), rec.timestamp.hour(),
+                                             rec.ip, rec.ip.to_numeric(), rec.failed))
+
+    def observe(self, now: float, hour: int, ip: IpAddress, key: int,
+                failed: bool) -> Tuple[float, ...]:
+        """``extract`` of a record given as its fields (``now`` its epoch,
+        ``key`` the numeric form of ``ip``): the row's six values."""
         window = self._activity.setdefault(key, deque())
         window.append(now)
         cutoff = now - self.freq_window_secs
         while window and window[0] < cutoff:
             window.popleft()
 
-        if rec.failed:
+        if failed:
             run = self._fail_run.get(key, 0) + 1
             self._fail_run[key] = run
         else:
@@ -58,16 +64,10 @@ class StreamingFeatureExtractor:
 
         distance = 0.0  # also for an IP the geo table does not place
         if self.geo is not None:
-            distance = self.geo.distance_km(str(rec.ip)) or 0.0
+            distance = self.geo.distance_km(str(ip)) or 0.0
 
-        return FeatureRow(
-            hour=float(rec.timestamp.hour()),
-            ip_numeric=float(key),
-            status=0.0 if rec.failed else 1.0,
-            failed_attempts=float(run),
-            freq=float(len(window)),
-            geo_distance=distance,
-        )
+        return (float(hour), float(key), 0.0 if failed else 1.0, float(run),
+                float(len(window)), distance)
 
 
 def load_feature_csv(path: str) -> List[FeatureRow]:

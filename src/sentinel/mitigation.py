@@ -8,6 +8,8 @@ anything.
 from __future__ import annotations
 
 import logging
+import os
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -17,6 +19,9 @@ from .events import BruteForce, EmergentThreat, SecurityEvent
 log = logging.getLogger(__name__)
 
 DEFAULT_TEMPLATE = "ufw deny from {ip} to any"
+# Seconds a block command may run before it is killed: it runs on the
+# dispatcher thread, so a hung command would hold every sink.
+BLOCK_TIMEOUT_SECS = 10.0
 
 
 @dataclass
@@ -48,7 +53,16 @@ class MitigationAction:
 
 
 def _run_shell(command: str) -> int:
-    return subprocess.run(command, shell=True).returncode
+    """Run ``command`` in a shell; its exit status.  A command still
+    running after BLOCK_TIMEOUT_SECS is killed with its process group and
+    reads as killed by SIGKILL."""
+    with subprocess.Popen(command, shell=True, start_new_session=True) as proc:
+        try:
+            return proc.wait(timeout=BLOCK_TIMEOUT_SECS)
+        except subprocess.TimeoutExpired:
+            log.error("mitigation command timed out after %.1fs: %s", BLOCK_TIMEOUT_SECS, command)
+            os.killpg(proc.pid, signal.SIGKILL)
+            return proc.wait()
 
 
 def mitigate(

@@ -125,6 +125,18 @@ def _ascii_host(name: str) -> str:
     return name[:-1] if name.endswith(".") else name
 
 
+def _unicode_label(label: str) -> str:
+    """An IDNA label ("xn--bcher-kva") in its Unicode form ("bücher"), so
+    that its ACE prefix counts no hyphen; a label that does not decode
+    stays as it is."""
+    if label.startswith("xn--"):
+        try:
+            return label.encode("ascii").decode("idna")
+        except UnicodeError:
+            pass
+    return label
+
+
 def _ipv6(host: str) -> str:
     """A bracketed IPv6 literal, with any port after it dropped, in its
     compressed form: "[2001:DB8:0::1]:8443" is "[2001:db8::1]".  Raises
@@ -330,8 +342,7 @@ def heuristic_score(parts: UrlParts, brands: Sequence[str],
         score += PLAIN_HTTP
         triggered.append("plain_http")
 
-    leftmost = parts.registered_domain.split(".")[0]
-    if leftmost.count("-") >= 2:
+    if _unicode_label(parts.registered_domain.split(".")[0]).count("-") >= 2:
         score += MULTI_HYPHEN_DOMAIN
         triggered.append("multi_hyphen_domain")
 

@@ -10,23 +10,24 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from dataclasses import dataclass
+from datetime import timedelta
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from .events import Timestamp
 from .etd.detector import ModelArtifact, canonical_json, content_hash, score_batch, train_model
-from .etd.features import FeatureRow
+from .etd.features import MANDATORY_FEATURES
 from .etd.gaussian import TrainingError
 
 log = logging.getLogger(__name__)
-
-TimedRow = Tuple[Timestamp, FeatureRow]
 
 
 class CorruptArtifactError(RuntimeError):
@@ -69,24 +70,59 @@ class ValidationReport:
     reason: str = ""
 
 
-def select_window(rows: Sequence[TimedRow], now: Timestamp, window_days: int) -> List[TimedRow]:
-    """Rows with timestamp in the closed interval [now - window_days, now]."""
-    start = now.add_seconds(-window_days * 86400)
-    selected = [(ts, row) for ts, row in rows if start <= ts <= now]
-    selected.sort(key=lambda pair: pair[0])
-    if not selected:
+class RowBuffer:
+    """The newest ``limit`` buffered rows, each its epoch and six feature
+    values, in a preallocated float64 ring: 56 bytes a row.  Allocated
+    with ``np.zeros``, so no page is resident until a row is written.
+    The ssh monitor extends it while a retrain copies it."""
+
+    def __init__(self, limit: int):
+        self._ring = np.zeros((limit, 1 + len(MANDATORY_FEATURES)))
+        self._written = 0  # rows ever written; the next goes to _written % limit
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return min(self._written, len(self._ring))
+
+    def extend(self, block: np.ndarray) -> None:
+        """Append an (n, 7) array of rows, each its epoch and features."""
+        limit = len(self._ring)
+        block = block[-limit:]
+        with self._lock:
+            start = self._written % limit
+            head = min(len(block), limit - start)
+            self._ring[start:start + head] = block[:head]
+            self._ring[:len(block) - head] = block[head:]
+            self._written += len(block)
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """A copy of the buffer, oldest row first: (epochs, rows)."""
+        with self._lock:
+            start = self._written % len(self._ring) if self._written > len(self._ring) else 0
+            copy = np.concatenate((self._ring[start:len(self)], self._ring[:start]))
+        return copy[:, 0], copy[:, 1:]
+
+
+def select_window(epochs: np.ndarray, rows: np.ndarray, now: Timestamp,
+                  window_days: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows whose epoch lies in the closed interval [now -
+    window_days, now], in time order; rows of one epoch keep their order."""
+    start = now.add_seconds(-window_days * 86400).epoch()
+    inside = np.flatnonzero((epochs >= start) & (epochs <= now.epoch()))
+    if not len(inside):
         raise TrainingError(f"no rows inside the {window_days}-day training window")
-    return selected
+    order = inside[np.argsort(epochs[inside], kind="stable")]
+    return epochs[order], rows[order]
 
 
-def retrain(rows: Sequence[TimedRow], cfg: RetrainConfig,
+def retrain(epochs: np.ndarray, rows: np.ndarray, cfg: RetrainConfig,
             trained_at: Optional[Timestamp] = None) -> Tuple[ModelArtifact, ValidationReport]:
-    """Fit a candidate on the older slice and validate on the recent hold-out."""
-    rows = sorted(rows, key=lambda pair: pair[0])
+    """Fit a candidate on the older slice of ``rows``, in the order of
+    ``epochs``, and validate on the recent hold-out."""
+    rows = np.asarray(rows, dtype=float)[np.argsort(epochs, kind="stable")]
     split = int(round(len(rows) * (1.0 - cfg.holdout_fraction)))
-    train_rows = [row for _, row in rows[:split]]
-    holdout_rows = [row for _, row in rows[split:]]
-    if not holdout_rows:
+    train_rows, holdout_rows = rows[:split], rows[split:]
+    if not len(holdout_rows):
         raise TrainingError("hold-out slice is empty; not enough rows")
 
     artifact = train_model(
@@ -220,8 +256,8 @@ class ScheduleSpec:
                 secs = float(tail[:-1]) * scale if scale else float(tail)
             except ValueError:
                 raise ScheduleError(f"bad interval spec: {text!r}")
-            if secs <= 0:
-                raise ScheduleError(f"interval must be positive: {text!r}")
+            if not math.isfinite(secs) or secs <= 0:
+                raise ScheduleError(f"interval must be positive and finite: {text!r}")
             return cls(interval_secs=secs)
         fields = text.split()
         if len(fields) != 5:

@@ -220,9 +220,9 @@ def test_criterion_8_zero_downtime_swap():
 def test_criterion_9_retrain_validation_gate(tmp_path):
     with criterion(9, "retrain validation gate"):
         t0 = Timestamp.parse("2025-06-01T00:00:00Z")
-        stationary = [(t0.add_seconds(i * 60), row)
-                      for i, row in enumerate(gen_normal_rows(3000, seed=30))]
-        accepted, report = retrain(stationary, RetrainConfig(quantile=0.99),
+        stationary = gen_normal_rows(3000, seed=30)
+        minutes = t0.epoch() + 60.0 * np.arange(len(stationary))
+        accepted, report = retrain(minutes, stationary, RetrainConfig(quantile=0.99),
                                    trained_at=t0)
         assert report.accepted and report.holdout_flag_rate <= 0.02
         persist_artifact(accepted, tmp_path)
@@ -230,10 +230,10 @@ def test_criterion_9_retrain_validation_gate(tmp_path):
         normal = gen_normal_rows(2400, seed=31)
         drifted, _ = gen_etd_stream(Scenario(seed=32, n_rows=600, anomaly_rate=0.0,
                                              drift_shift_sigma=6.0))
-        rows = [(t0.add_seconds(i * 60), row)
-                for i, row in enumerate(normal + drifted[300:])]
-        rejected, report = retrain(rows, RetrainConfig(quantile=0.99,
-                                                       holdout_fraction=0.1),
+        rows = normal + drifted[300:]
+        minutes = t0.epoch() + 60.0 * np.arange(len(rows))
+        rejected, report = retrain(minutes, rows, RetrainConfig(quantile=0.99,
+                                                                holdout_fraction=0.1),
                                    trained_at=t0)
         assert not report.accepted
         # a rejected candidate is never persisted, so `current` is unchanged

@@ -372,6 +372,25 @@ class TestHeuristicScore:
         _, triggered = default_score(parse_url("https://paypa1.com."))
         assert triggered == ["brand_similarity"]
 
+    def test_idn_label_counts_the_hyphens_of_its_unicode_form(self):
+        # The ACE prefix "xn--" of "xn--mnchen-3ya" is no hyphen of the name.
+        assert default_score(parse_url("https://münchen.de/")) == (0, [])
+        idn, _ = default_score(parse_url("http://login.bücher.de/"))
+        plain, _ = default_score(parse_url("http://login.buecher.de/"))
+        assert idn == plain == 45
+        _, triggered = default_score(parse_url("http://se-cure-bücher.de/"))
+        assert "multi_hyphen_domain" in triggered
+
+    def test_undecodable_idn_label_keeps_its_ace_form(self):
+        _, triggered = default_score(parse_url("https://xn--zz-zz-zz.com/"))
+        assert triggered == ["multi_hyphen_domain"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="abkz059-", max_size=12))
+    def test_any_ace_label_scores_without_raising(self, tail):
+        score, _ = default_score(parse_url(f"https://xn--{tail}.com/"))
+        assert 0 <= score <= 100
+
     def test_http_never_decreases_score(self):
         for suffix in ["example.com", "a.b.c.d.login-site.com/verify?%20%21"]:
             https, _ = default_score(parse_url("https://" + suffix))

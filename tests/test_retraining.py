@@ -4,13 +4,16 @@ import hashlib
 import json
 import threading
 import time
+from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sentinel.retraining as retraining
 from sentinel.etd.detector import score_event, train_model
+from sentinel.etd.features import FeatureRow
 from sentinel.etd.gaussian import TrainingError
 from sentinel.events import Timestamp
 from sentinel.harness import Scenario, gen_etd_stream, gen_normal_rows
@@ -36,30 +39,85 @@ def _timed(rows, start=T0, spacing=60.0):
     return [(start.add_seconds(i * spacing), row) for i, row in enumerate(rows)]
 
 
+def _arrays(timed):
+    """(timestamp, row) pairs as the (epochs, rows) arrays the buffer holds."""
+    return (np.array([ts.epoch() for ts, _ in timed], dtype=float).reshape(-1),
+            np.array([row for _, row in timed], dtype=float).reshape(-1, 6))
+
+
+def _pairs(epochs, rows):
+    return [(Timestamp(datetime.fromtimestamp(e, timezone.utc)), FeatureRow(*row))
+            for e, row in zip(epochs.tolist(), rows.tolist())]
+
+
 class TestSelectWindow:
     def test_all_too_old_aborts(self):
         rows = _timed(gen_normal_rows(10, 0), start=T0.add_seconds(-90 * 86400))
         with pytest.raises(TrainingError):
-            select_window(rows, T0, 30)
+            select_window(*_arrays(rows), T0, 30)
 
     def test_boundary_included(self):
         row = gen_normal_rows(1, 0)[0]
         boundary = T0.add_seconds(-30 * 86400)
-        assert select_window([(boundary, row)], T0, 30) == [(boundary, row)]
+        assert _pairs(*select_window(*_arrays([(boundary, row)]), T0, 30)) == [(boundary, row)]
 
     def test_matches_filter_oracle(self):
         rows = _timed(gen_normal_rows(2160, 1), start=T0.add_seconds(-90 * 86400),
                       spacing=3600.0)
-        got = select_window(rows, T0, 30)
+        got = _pairs(*select_window(*_arrays(rows), T0, 30))
         start = T0.add_seconds(-30 * 86400)
         want = sorted([p for p in rows if start <= p[0] <= T0], key=lambda p: p[0])
         assert got == want
 
 
+class TestRowBuffer:
+    def test_costs_at_most_64_bytes_a_row(self):
+        import tracemalloc
+
+        from sentinel.agent import Agent
+
+        block = np.ones((1000, 7))
+        tracemalloc.start()
+        try:
+            buffer = retraining.RowBuffer(Agent.ROW_BUFFER_LIMIT)
+            for _ in range(3):
+                buffer.extend(block)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 * Agent.ROW_BUFFER_LIMIT
+        assert len(buffer) == 3000
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 50), st.lists(st.integers(0, 80), max_size=8))
+    def test_keeps_exactly_the_newest_rows(self, limit, sizes):
+        buffer = retraining.RowBuffer(limit)
+        written = np.zeros((0, 7))
+        for size in sizes:
+            block = np.arange(len(written), len(written) + size, dtype=float)[:, None] * np.ones(7)
+            block[:, 1:] += np.arange(1, 7)
+            buffer.extend(block)
+            written = np.concatenate((written, block))
+            epochs, rows = buffer.arrays()
+            assert len(buffer) == len(epochs) == min(limit, len(written))
+            assert epochs.tolist() == written[-limit:, 0].tolist()
+            assert rows.tolist() == written[-limit:, 1:].tolist()
+
+
+class TestSelectWindowOrder:
+    def test_rows_of_one_epoch_keep_their_order(self):
+        epochs = np.array([5.0, 3.0, 5.0, 4.0, 3.0, 9.0])
+        rows = np.arange(36, dtype=float).reshape(6, 6)
+        now = Timestamp(datetime.fromtimestamp(8, timezone.utc))
+        got_epochs, got_rows = select_window(epochs, rows, now, 1)
+        assert got_epochs.tolist() == [3.0, 3.0, 4.0, 5.0, 5.0]
+        assert got_rows[:, 0].tolist() == [6.0, 24.0, 18.0, 0.0, 12.0]
+
+
 class TestRetrain:
     def test_stationary_data_accepted(self):
         rows = _timed(gen_normal_rows(3000, seed=2))
-        artifact, report = retrain(rows, RetrainConfig(quantile=0.99), trained_at=T0)
+        artifact, report = retrain(*_arrays(rows), RetrainConfig(quantile=0.99), trained_at=T0)
         assert report.accepted
         assert report.holdout_flag_rate <= 0.02
         assert report.train_size == 2400 and report.holdout_size == 600
@@ -72,7 +130,7 @@ class TestRetrain:
         drifted = drifted[300:]
         rows = _timed(normal + drifted)
         cfg = RetrainConfig(quantile=0.99, holdout_fraction=0.1)
-        artifact, report = retrain(rows, cfg, trained_at=T0)
+        artifact, report = retrain(*_arrays(rows), cfg, trained_at=T0)
         assert not report.accepted
         assert report.holdout_flag_rate > cfg.max_holdout_flag_rate
 
@@ -82,12 +140,12 @@ class TestRetrain:
         with pytest.raises(TrainingError, match="hour"):
             train_model(rows, trained_at=T0)
         with pytest.raises(TrainingError, match="hour"):
-            retrain(_timed(rows), RetrainConfig(), trained_at=T0)
+            retrain(*_arrays(_timed(rows)), RetrainConfig(), trained_at=T0)
 
     def test_empty_holdout_is_error(self):
         rows = _timed(gen_normal_rows(3, seed=5))
         with pytest.raises(TrainingError):
-            retrain(rows, RetrainConfig(holdout_fraction=0.01))
+            retrain(*_arrays(rows), RetrainConfig(holdout_fraction=0.01))
 
 
 _JSON_VALUES = st.recursive(

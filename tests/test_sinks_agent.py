@@ -4,6 +4,7 @@ import json
 import re
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -162,6 +163,18 @@ class TestMitigation:
     def test_template_must_have_ip_slot(self):
         with pytest.raises(ValueError):
             MitigationPolicy(command_template="ufw deny all")
+
+    def test_hung_block_command_is_killed_at_the_timeout(self, monkeypatch, caplog):
+        import sentinel.mitigation as mitigation
+
+        monkeypatch.setattr(mitigation, "BLOCK_TIMEOUT_SECS", 0.2)
+        started = time.monotonic()
+        action = mitigate(BRUTE, MitigationPolicy(enabled=True,
+                                                  command_template="sleep 5 # {ip}"))
+        assert time.monotonic() - started < 2.0
+        assert action.kind == "block" and action.executed
+        assert action.exit_status not in (0, None)
+        assert "timed out" in caplog.text
 
 
 def _agent_config(tmp_path, log_path=None):
@@ -324,13 +337,15 @@ class TestAgent:
         cfg = _agent_config(tmp_path)
         cfg.retrain.max_holdout_flag_rate = 1.0
         agent = Agent(cfg)
-        for start in range(0, len(records), 97):
-            agent._score_records(records[start:start + 97])
+        for start in range(0, len(lines), 97):
+            agent._ingest(deque(lines[start:start + 97]))
 
         extractor = StreamingFeatureExtractor(freq_window_secs=cfg.etd.freq_window_secs)
         rows = [extractor.extract(rec) for rec in records]
         newest = list(zip((rec.timestamp for rec in records), rows))[-300:]
-        assert list(agent._timed_rows) == newest
+        epochs, buffered = agent._rows.arrays()
+        assert list(zip(epochs.tolist(), map(tuple, buffered.tolist()))) == [
+            (ts.epoch(), row) for ts, row in newest]
         assert agent.retrain_now(records[-1].timestamp)
         assert agent.registry.get().trained_at == records[-1].timestamp
 
@@ -348,7 +363,7 @@ class TestAgent:
         cfg = _agent_config(tmp_path)
         cfg.retrain.max_holdout_flag_rate = 1.0
         agent = Agent(cfg)
-        agent._score_records(records)
+        agent._ingest(deque(lines))
         assert agent.retrain_now(records[-1].timestamp)
         artifact = agent.registry.get()
         models = tmp_path / "models"
@@ -420,15 +435,15 @@ class TestAgent:
         log.write_text("\n".join(_burst_lines("203.0.113.7")) + "\n")
         agent = Agent(_agent_config(tmp_path, log))
         state = {"raised": False}
-        score = agent._score_records
+        score = agent._score_slice
 
-        def flaky(records):
+        def flaky(stamps, block):
             if not state["raised"]:
                 state["raised"] = True
                 raise RuntimeError("injected fault")
-            score(records)
+            score(stamps, block)
 
-        agent._score_records = flaky
+        agent._score_slice = flaky
         agent.start()
         assert _wait_for(lambda: agent._restart_log)
         # A replay of the log would raise a second alert within a few polls.
@@ -437,7 +452,30 @@ class TestAgent:
         assert len(self._alerts(tmp_path, "BruteForce")) == 1
         # The slice in flight at the crash is skipped: it is neither scored
         # nor buffered for retraining.
-        assert len(agent._timed_rows) == 0
+        assert len(agent._rows) == 0
+
+    def test_slice_that_raises_still_alerts_on_what_it_windowed(self, tmp_path, monkeypatch):
+        from sentinel.agent import Agent
+        from sentinel.etd.features import StreamingFeatureExtractor
+
+        agent = Agent(_agent_config(tmp_path))
+        observe = StreamingFeatureExtractor.observe
+        calls = []
+
+        def flaky(extractor, *args):
+            calls.append(1)
+            if len(calls) == 8:
+                raise RuntimeError("injected fault")
+            return observe(extractor, *args)
+
+        monkeypatch.setattr(StreamingFeatureExtractor, "observe", flaky)
+        # The first burst alerts at its fifth line; the fault hits the second burst.
+        lines = deque(_burst_lines("203.0.113.7") + _burst_lines("203.0.113.8"))
+        with pytest.raises(RuntimeError, match="injected fault"):
+            agent._ingest(lines)
+        queued = [agent.queue.get_nowait() for _ in range(agent.queue.qsize())]
+        assert [(e.event_type, str(e.ip)) for e in queued] == [("BruteForce", "203.0.113.7")]
+        assert len(lines) == 4  # the lines after the failing one wait for the restart
 
     def test_model_naming_a_feature_no_row_holds_is_refused(self, tmp_path,
                                                              url_risk_model_dir):
@@ -546,6 +584,11 @@ class TestConfig:
     def test_leap_day_schedule_loads(self):
         cfg = AgentConfig.from_values({"sink.stdout": "true", "etd.schedule": "0 0 29 2 *"})
         assert cfg.retrain.schedule == "0 0 29 2 *"
+
+    @pytest.mark.parametrize("spec", ["every nan", "every inf", "every 1e400s", "every -inf"])
+    def test_schedule_of_no_finite_interval_is_named(self, spec):
+        with pytest.raises(ConfigError, match="etd.schedule"):
+            AgentConfig.from_values({"sink.stdout": "true", "etd.schedule": spec})
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(Exception):

@@ -2,12 +2,16 @@ import json
 import os
 import random
 import shlex
+import time
+from collections import deque
+from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import window_recount_events
+from oracles import freq_recount, window_recount_events
 from sentinel.events import IpAddress, Timestamp
 from sentinel.harness import Burst, Scenario, gen_ssh_logs
 from sentinel.ssh_monitor import (
@@ -345,3 +349,112 @@ class TestTailSource:
         text = FAILED + sep + "tail"
         src = TailSource(command="printf '%s\\n' " + shlex.quote(text))
         assert src.poll() == [text]
+
+
+SLICE_BASE = 1_740_000_000  # 2025-02-19T21:20:00Z
+SLICE_IPS = ["203.0.113.7", "203.0.113.8", "198.51.100.9", "1.2.3.4",  # 1.2.3.4: whitelisted
+             "10.0.0.01", "2001:db8::1"]  # neither is an IPv4 record
+
+
+@st.composite
+def auth_logs(draw):
+    """Auth log lines around SLICE_BASE, the times a counting clock gives
+    the unstamped ones, and whether the records come in time order.  Out
+    of order, a line may fall up to 8 s behind the one before it, so some
+    lie within and some beyond the 5 s tolerance."""
+    ordered = draw(st.booleans())
+    t, lines, clock_times = SLICE_BASE, [], []
+    for _ in range(draw(st.integers(0, 120))):
+        t += draw(st.integers(0, 6) if ordered else st.integers(-8, 6))
+        kind = draw(st.sampled_from(["stamped"] * 6 + ["unstamped", "feb30", "noise"]))
+        if kind == "noise":
+            lines.append("Feb 19 21:20:00 host1 sshd[9]: pam_unix(sshd:session): session opened")
+            continue
+        ip = draw(st.sampled_from(SLICE_IPS))
+        if draw(st.integers(0, 9)) < 7:
+            body = f"Failed password for {draw(st.sampled_from(['root', 'invalid user admin']))}"
+        else:
+            body = "Accepted password for alice"
+        body += f" from {ip} port 22 ssh2"
+        if kind == "unstamped":
+            lines.append(body)
+            if ":" not in ip:  # an IPv6 line is outside the grammar: no clock read
+                clock_times.append(t)
+            continue
+        g = time.gmtime(t)
+        stamp = "Feb 30 01:02:03" if kind == "feb30" else time.strftime("%b %e %H:%M:%S", g)
+        lines.append(f"{stamp} host1 sshd[9]: {body}")
+    return lines, clock_times, ordered
+
+
+def _counting_clock(times):
+    it = iter(times)
+    return lambda: Timestamp(datetime.fromtimestamp(next(it), timezone.utc))
+
+
+class TestSlicePath:
+    CFG = dict(threshold=3, window_secs=30, cooldown_secs=20, whitelist={"1.2.3.4"})
+    FREQ_WINDOW = 40.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(auth_logs(), st.lists(st.integers(0, 130), max_size=6),
+           st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    def test_equals_the_per_record_chain_and_the_oracles(self, log, cuts, limits):
+        from sentinel.agent import scan_slice
+        from sentinel.etd.features import StreamingFeatureExtractor
+
+        lines, clock_times, ordered = log
+        # The per-record chain.
+        detector = BruteForceDetector(BruteForceConfig(**self.CFG))
+        extractor = StreamingFeatureExtractor(freq_window_secs=self.FREQ_WINDOW)
+        clock = _counting_clock(clock_times)
+        records, kept, events, rows = [], [], [], []
+        for line in lines:
+            rec = parse_ssh_line(line, year=2025, stats=detector.stats, clock=clock)
+            if rec is None:
+                continue
+            dropped = detector.stats.dropped_out_of_order
+            event = detector.ingest(rec)
+            if detector.stats.dropped_out_of_order == dropped:
+                kept.append(rec)
+            events += [event] if event else []
+            records.append(rec)
+            rows.append(tuple(extractor.extract(rec)))
+
+        # The slice path, over the same lines cut at random points.
+        sliced = BruteForceDetector(BruteForceConfig(**self.CFG))
+        sliced_extractor = StreamingFeatureExtractor(freq_window_secs=self.FREQ_WINDOW)
+        clock = _counting_clock(clock_times)
+        got_events, stamps, blocks = [], [], []
+        bounds = sorted({0, len(lines), *(c for c in cuts if c < len(lines))})
+        calls = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            pending = deque(lines[lo:hi])
+            while pending:
+                limit = limits[calls % len(limits)]
+                calls += 1
+                st_, block = scan_slice(pending, limit, sliced, sliced_extractor, got_events,
+                                        2025, clock)
+                assert len(st_) <= limit and block.shape == (len(st_), 7)
+                assert block.dtype == np.float64
+                stamps += st_
+                blocks.append(block)
+        block = np.concatenate(blocks) if blocks else np.zeros((0, 7))
+
+        assert got_events == events
+        assert stamps == [rec.timestamp for rec in records]
+        assert block[:, 0].tolist() == [rec.timestamp.epoch() for rec in records]
+        assert list(map(tuple, block[:, 1:].tolist())) == rows
+        assert sliced.stats == detector.stats
+
+        # The oracles recount from scratch; they assume time order.
+        times = [rec.timestamp.epoch() for rec in kept]
+        if times == sorted(times):
+            want = window_recount_events(kept, 3, 30, 20, whitelist={"1.2.3.4"})
+            assert [(e.timestamp.isoformat(), str(e.ip), e.failed_attempts)
+                    for e in got_events] == want
+        times = [rec.timestamp.epoch() for rec in records]
+        if times == sorted(times):
+            assert block[:, 5].tolist() == freq_recount(records, self.FREQ_WINDOW)
+        if ordered:
+            assert sliced.stats.dropped_out_of_order == 0
